@@ -84,7 +84,7 @@ int usage(const char* argv0) {
                "       --population N simulates N distinct patients (sampled\n"
                "       physiology/storage; --population-motion adds "
                "per-patient\n"
-               "       shadowing episodes), reusing warmed cells across runs\n"
+               "       shadowing episodes), one fresh cell per patient\n"
                "       (--jobs workers, --seconds per-patient window; --csv\n"
                "       prints the lifetime CDF)\n"
                "       --fault-plan overlays FILE's [fault.*] sections onto "
@@ -506,7 +506,7 @@ int run_lifetime(const CliOptions& options, const core::BanConfig& config) {
   return 0;
 }
 
-/// Population-campaign mode: N distinct patients over reused cells, with
+/// Population-campaign mode: N distinct patients, one fresh cell each, with
 /// columnar metrics and a lifetime CDF (--csv emits the CDF rows).
 int run_population(const CliOptions& options, const core::BanConfig& config) {
   core::PopulationConfig population;

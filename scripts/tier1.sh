@@ -31,7 +31,7 @@ echo "== tier 1: ASan/UBSan regression subset =="
 sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_simulator test_scenario_runner test_heterogeneous_ban
                 test_invariant_monitor test_fault_campaigns test_battery
-                test_energy_store test_lifetime test_run_reset
+                test_energy_store test_lifetime test_population
                 test_campaign_store test_campaign_orchestrator)
 cmake -B "$repo/build-asan" -S "$repo" -DBANSIM_SANITIZE=ON \
   -DBANSIM_WARNINGS_AS_ERRORS=ON

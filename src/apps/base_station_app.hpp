@@ -51,15 +51,6 @@ class BaseStationApp {
 
   [[nodiscard]] std::string render_summary() const;
 
-  /// Restores freshly-constructed accounting (decode flag survives; the
-  /// network reset re-applies it from the new config anyway).
-  void reset() {
-    traffic_.clear();
-    beats_.clear();
-    total_packets_ = 0;
-    total_bytes_ = 0;
-  }
-
  private:
   std::map<net::NodeId, NodeTraffic> traffic_;
   std::vector<std::pair<net::NodeId, sim::TimePoint>> beats_;

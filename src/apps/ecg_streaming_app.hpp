@@ -31,18 +31,6 @@ class EcgStreamingApp {
   void start();
   void stop();
 
-  /// Restores freshly-constructed state in place (buffers keep capacity).
-  /// Caller must have torn down the timer service first; the armed timer
-  /// id is simply forgotten here.
-  void reset(const StreamingConfig& config) {
-    config_ = config;
-    pending_codes_.clear();
-    buffer_.clear();
-    timer_ = os::TimerService::kInvalidTimer;
-    samples_ = 0;
-    payloads_ = 0;
-  }
-
   [[nodiscard]] std::uint64_t samples_acquired() const { return samples_; }
   [[nodiscard]] std::uint64_t payloads_queued() const { return payloads_; }
   [[nodiscard]] const StreamingConfig& config() const { return config_; }

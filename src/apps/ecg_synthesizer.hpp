@@ -37,16 +37,6 @@ class EcgSynthesizer {
 
   [[nodiscard]] const EcgConfig& config() const { return config_; }
 
-  /// Restores freshly-constructed state in place, keeping the beat train's
-  /// capacity.  Config and RNG may differ from construction: population
-  /// sweeps re-seed and re-parameterise the physiology per run.
-  void reset(const EcgConfig& config, sim::Rng rng) {
-    config_ = config;
-    rng_ = rng;
-    beats_.clear();
-    horizon_ = sim::TimePoint::zero();
-  }
-
  private:
   /// Ensures the beat train covers `t` plus one beat of lookahead.
   void extend(sim::TimePoint t);

@@ -53,18 +53,6 @@ class EegApp {
   [[nodiscard]] std::uint64_t blocks_dropped() const { return blocks_dropped_; }
   [[nodiscard]] const EegAppConfig& config() const { return config_; }
 
-  /// Restores freshly-constructed state in place (buffers keep capacity).
-  void reset(const EegAppConfig& config) {
-    config_ = config;
-    buffers_.resize(config.channels);
-    for (auto& b : buffers_) b.clear();
-    next_block_id_ = 0;
-    timer_ = os::TimerService::kInvalidTimer;
-    samples_ = 0;
-    blocks_sent_ = 0;
-    blocks_dropped_ = 0;
-  }
-
  private:
   void on_sample_tick();
   void emit_block();
@@ -97,14 +85,6 @@ class EegCollector {
   [[nodiscard]] std::uint64_t blocks_decoded() const { return blocks_decoded_; }
   [[nodiscard]] std::uint64_t decode_failures() const { return decode_failures_; }
   [[nodiscard]] const net::Reassembler& reassembler() const { return reassembler_; }
-
-  /// Restores freshly-constructed state in place.
-  void reset() {
-    reassembler_ = net::Reassembler{};
-    recovered_.clear();
-    blocks_decoded_ = 0;
-    decode_failures_ = 0;
-  }
 
  private:
   std::uint32_t channels_;

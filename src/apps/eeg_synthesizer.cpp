@@ -16,13 +16,8 @@ double hash_noise(std::int64_t ticks, std::uint32_t channel) {
 }
 }  // namespace
 
-EegSynthesizer::EegSynthesizer(const EegConfig& config, std::uint64_t seed) {
-  reset(config, seed);
-}
-
-void EegSynthesizer::reset(const EegConfig& config, std::uint64_t seed) {
-  config_ = config;
-  per_channel_.resize(config.channels);
+EegSynthesizer::EegSynthesizer(const EegConfig& config, std::uint64_t seed)
+    : config_{config}, per_channel_(config.channels) {
   // Band centres and relative weights for a resting-state montage.
   struct Band {
     double lo, hi, weight;
@@ -34,7 +29,6 @@ void EegSynthesizer::reset(const EegConfig& config, std::uint64_t seed) {
       {0.5, 4.0, 0.6},    // delta / slow drift
   };
   for (std::uint32_t ch = 0; ch < config.channels; ++ch) {
-    per_channel_[ch].clear();
     sim::Rng rng = sim::Rng::stream(seed, "eeg/ch" + std::to_string(ch));
     for (const Band& band : kBands) {
       // Two components per band for a fuller spectrum.

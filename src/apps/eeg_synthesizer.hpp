@@ -32,10 +32,6 @@ class EegSynthesizer {
 
   [[nodiscard]] const EegConfig& config() const { return config_; }
 
-  /// Re-draws every channel's components for a new (config, seed), reusing
-  /// the per-channel vectors' capacity.  Equivalent to reconstruction.
-  void reset(const EegConfig& config, std::uint64_t seed);
-
  private:
   struct Component {
     double amplitude;  ///< fraction of amplitude_volts

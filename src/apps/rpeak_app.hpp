@@ -41,22 +41,6 @@ class RpeakApp {
   void start();
   void stop();
 
-  /// Restores freshly-constructed state in place.  Detectors are reset one
-  /// by one when the channel count is unchanged (no allocation); a channel
-  /// count change rebuilds the vector.
-  void reset(const RpeakConfig& config) {
-    config_ = config;
-    if (detectors_.size() == config.channels) {
-      for (RpeakDetector& d : detectors_) d.reset(config.sample_rate_hz);
-    } else {
-      detectors_.assign(config.channels,
-                        RpeakDetector{config.sample_rate_hz});
-    }
-    timer_ = os::TimerService::kInvalidTimer;
-    samples_ = 0;
-    beats_ = 0;
-  }
-
   [[nodiscard]] std::uint64_t samples_acquired() const { return samples_; }
   [[nodiscard]] std::uint64_t beats_reported() const { return beats_; }
   [[nodiscard]] const RpeakConfig& config() const { return config_; }

@@ -36,28 +36,6 @@ class RpeakDetector {
   [[nodiscard]] std::uint64_t beats_detected() const { return beats_; }
   [[nodiscard]] double threshold() const { return threshold_; }
 
-  /// Restores freshly-constructed state in place for a (possibly new)
-  /// sample rate; the integration window keeps its allocated blocks.
-  void reset(double sample_rate_hz) {
-    fs_ = sample_rate_hz;
-    integration_window_ = static_cast<std::size_t>(0.15 * sample_rate_hz);
-    refractory_samples_ = static_cast<std::size_t>(0.25 * sample_rate_hz);
-    confirm_lag_ = static_cast<std::size_t>(0.08 * sample_rate_hz);
-    window_.clear();
-    integral_ = 0.0;
-    prev_sample_ = 0.0;
-    have_prev_ = false;
-    signal_level_ = 0.0;
-    noise_level_ = 0.0;
-    threshold_ = 0.0;
-    index_ = 0;
-    last_beat_index_ = 0;
-    in_peak_ = false;
-    peak_value_ = 0.0;
-    peak_index_ = 0;
-    beats_ = 0;
-  }
-
  private:
   double fs_;
   std::size_t integration_window_;  ///< ~150 ms of samples

@@ -46,8 +46,7 @@ struct CampaignSpec {
   std::vector<std::uint64_t> seeds{1};
   /// Fault-plan master-switch values (false = plan disabled).  A `true`
   /// entry only changes behaviour when the base config carries fault
-  /// content, but it always changes network *shape*, so each fault mode
-  /// gets its own warmed cells.
+  /// content; each fault mode is its own variant.
   std::vector<bool> fault_modes{false};
 
   /// Per-patient physiology sampling: motion episodes on/off (the one

@@ -214,22 +214,15 @@ ShardResult ShardRunner::run(const ShardSpec& shard) {
                               population_config(spec_)})
                  .first;
   }
-  core::PatientRunner& runner = runners_[shard.variant];
   ShardResult result;
   result.shard = shard.index;
   result.rows.reserve(shard.count);
   for (std::size_t i = 0; i < shard.count; ++i) {
     result.rows.push_back(
-        runner.run(gen_it->second, window_, shard.first + i));
+        core::run_patient(gen_it->second, window_, shard.first + i));
     if (progress_) progress_(i + 1);
   }
   return result;
-}
-
-std::size_t ShardRunner::runs_reused() const {
-  std::size_t reused = 0;
-  for (const auto& [variant, runner] : runners_) reused += runner.runs_reused();
-  return reused;
 }
 
 }  // namespace bansim::campaign

@@ -1,10 +1,8 @@
 // Shard execution and the shard-result wire/disk codec.
 //
 // A shard is `count` consecutive patients of one variant.  ShardRunner
-// executes shards with per-variant warmed cells: the first patient of a
-// variant builds a BanNetwork, every later patient (across all shards of
-// that variant this process runs) resets it in place.  Because
-// PatientRunner::run(i) is a pure function of (generator, window, i), a
+// executes a shard by running each patient on a fresh cell.  Because
+// core::run_patient(i) is a pure function of (generator, window, i), a
 // shard's rows are bit-identical whichever process runs it and however
 // shards are interleaved — the property every resume/equality test pins.
 //
@@ -16,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "campaign/manifest.hpp"
@@ -85,9 +82,9 @@ struct QuarantineRecord {
 [[nodiscard]] QuarantineRecord decode_quarantine(
     const std::vector<std::uint8_t>& payload);
 
-/// Executes shards against one campaign definition, reusing warmed cells
-/// per variant.  Not thread-safe; one runner per worker (process or
-/// in-process loop).
+/// Executes shards against one campaign definition, one fresh cell per
+/// patient.  Not thread-safe; one runner per worker (process or in-process
+/// loop).
 class ShardRunner {
  public:
   ShardRunner(CampaignSpec spec, core::BanConfig base);
@@ -103,19 +100,14 @@ class ShardRunner {
     progress_ = std::move(callback);
   }
 
-  /// Patient runs that reused (reset) a warmed cell instead of building.
-  [[nodiscard]] std::size_t runs_reused() const;
-
  private:
   CampaignSpec spec_;
   core::BanConfig base_;
   std::vector<VariantSpec> variants_;
   core::PatientWindow window_;
-  /// Lazily built per variant index — a variant's generator and warmed
-  /// cell come into being the first time a shard of that variant runs
-  /// here.
+  /// Lazily built per variant index — a variant's generator comes into
+  /// being the first time a shard of that variant runs here.
   std::map<std::size_t, core::PopulationGenerator> generators_;
-  std::map<std::size_t, core::PatientRunner> runners_;
   std::function<void(std::size_t)> progress_;
 };
 

@@ -61,31 +61,6 @@ RunOutput run_config(const core::BanConfig& config, bool monitored,
   return out;
 }
 
-/// The reused-cell leg of the reset-vs-rebuild oracle: builds a cell from
-/// a same-shape decoy config (different seed and physiology, identical
-/// roster/fault/storage shape), runs it for a while so every arena, meter,
-/// store and fault process accumulates state, then resets to `config` and
-/// measures exactly as run_config() does.
-std::vector<double> run_reset_config(const core::BanConfig& config,
-                                     const FuzzOptions& opt) {
-  core::BanConfig decoy = config;
-  decoy.seed = config.seed ^ 0x9e3779b97f4a7c15ull;
-  decoy.ecg.heart_rate_bpm =
-      std::min(config.ecg.heart_rate_bpm + 11.0, 180.0);
-
-  core::BanNetwork network{decoy};
-  network.start();
-  network.run_until(sim::TimePoint::zero() +
-                    sim::Duration::milliseconds(150));
-
-  network.reset(config);
-  network.start();
-  network.run_until_joined(opt.settle,
-                           sim::TimePoint::zero() + opt.join_deadline);
-  network.run_until(network.simulator().now() + opt.measure);
-  return flatten(network.energy_snapshot());
-}
-
 }  // namespace
 
 core::BanConfig make_fuzz_config(std::uint64_t seed) {
@@ -352,22 +327,6 @@ std::optional<std::string> ScenarioFuzzer::evaluate(
       }
     }
     return "monitor-on/off oracle: energy vector shapes differ";
-  }
-
-  // Oracle: reset-vs-rebuild.  A cell that already ran a same-shape decoy
-  // and was reset to `config` must reproduce the fresh build bit-for-bit —
-  // including with storage and fault plans active.
-  const auto reset_flat = run_reset_config(config, options_);
-  if (reset_flat != plain_flat) {
-    for (std::size_t i = 0;
-         i < std::min(reset_flat.size(), plain_flat.size()); ++i) {
-      if (reset_flat[i] != plain_flat[i]) {
-        return "reset-vs-rebuild oracle: energy slot " + std::to_string(i) +
-               " differs (reset " + std::to_string(reset_flat[i]) +
-               " J vs rebuild " + std::to_string(plain_flat[i]) + " J)";
-      }
-    }
-    return "reset-vs-rebuild oracle: energy vector shapes differ";
   }
 
   // Invariants must also hold at model fidelity (the estimator drives the

@@ -1,8 +1,5 @@
 #include "core/ban_network.hpp"
 
-#include <cassert>
-#include <stdexcept>
-
 namespace bansim::core {
 
 CellPlan make_cell_plan(const BanConfig& config) {
@@ -107,31 +104,6 @@ BanNetwork::BanNetwork(const BanConfig& config, os::ModelProbe* probe)
     storage_driver_->add_node(node->mac_base(), node->board(),
                               *node->energy_store());
   }
-}
-
-void BanNetwork::reset(const BanConfig& config) {
-  if (config.use_link_model != (link_model_ != nullptr)) {
-    throw std::invalid_argument(
-        "BanNetwork::reset: use_link_model changed; a reset must keep the "
-        "network's shape");
-  }
-  if (config.fault_plan.any() != (injector_ != nullptr) ||
-      config.fault_plan.touches_channel() !=
-          config_.fault_plan.touches_channel()) {
-    throw std::invalid_argument(
-        "BanNetwork::reset: fault-plan activeness changed; a reset must "
-        "keep the network's shape");
-  }
-  config_ = config;
-  // Order matters: the context reset installs the new seed, which the
-  // injector's stream re-derivation and the channel/link streams read.
-  context_.reset(config_.seed);
-  channel_.reset(sim::Rng::stream(config_.seed, "channel/ber"));
-  if (link_model_) link_model_->reset(config_.seed);
-  if (injector_) injector_->reset(config_.fault_plan);
-  if (storage_driver_) storage_driver_->reset();
-  NetworkBuilder::reset_cell(cell_, make_cell_plan(config_));
-  for (auto& [addr, collector] : eeg_collectors_) collector.reset();
 }
 
 void BanNetwork::start() {

@@ -117,21 +117,6 @@ class BanNetwork {
   /// Boots the base station and all nodes (staggered).
   void start();
 
-  /// Restores the whole network to freshly-constructed state in place —
-  /// the schedule-reset-run seam of campaign loops.  No heap object is
-  /// replaced: the event arena, interned trace names, stacks, link model,
-  /// fault injector and storage driver are all kept and rewound, so the
-  /// steady state of a reset-per-run campaign allocates nothing.
-  ///
-  /// `config` must be same-shape as construction: node count, MAC/app
-  /// kinds, addresses, board params, MAC configs, link-model/fault
-  /// activeness, body positions and storage enabled-ness unchanged.
-  /// Seed, physiology (ecg), storage values, fault values and the run
-  /// horizon may differ — the per-patient degrees of freedom of a
-  /// population sweep.  A reset run is bit-identical to a rebuilt one
-  /// (locked by test_golden_energy and the fuzzer's reset oracle).
-  void reset(const BanConfig& config);
-
   /// Advances the simulation to absolute time `until`.
   void run_until(sim::TimePoint until);
 

@@ -52,68 +52,6 @@ net::NodeId plan_bs_address(const CellPlan& plan) {
   return net::kBaseStationId;
 }
 
-/// Resolves roster entry `i` into a fully-merged NodeStackInit, consuming
-/// exactly one skew draw — shared by build_cell and reset_cell so the two
-/// paths cannot drift apart in stream order or override semantics.
-NodeStackInit resolve_node_init(const CellPlan& plan, std::size_t i,
-                                sim::Rng& skew_rng,
-                                std::unordered_set<net::NodeId>& used_addresses,
-                                net::NodeId bs_address) {
-  const NodeSpec& spec = plan.roster[i];
-
-  NodeStackInit init;
-  init.mac = plan.mac;
-  init.app = spec.app.value_or(plan.app);
-  init.tdma = plan.tdma;
-  init.aloha = plan.aloha;
-  init.csma = plan.csma;
-  init.csma_gts = spec.csma_gts.value_or(false);
-  if (init.csma_gts && plan.mac != MacKind::kCsmaCa) {
-    throw std::invalid_argument(
-        "roster entry " + std::to_string(i) +
-        " requests a GTS but the cell does not run CSMA/CA");
-  }
-  if (init.csma_gts && plan.csma.gts_slots == 0) {
-    throw std::invalid_argument(
-        "roster entry " + std::to_string(i) +
-        " requests a GTS but csma.gts_slots is 0");
-  }
-  init.streaming = spec.streaming.value_or(plan.streaming);
-  init.rpeak = spec.rpeak.value_or(plan.rpeak);
-  init.ecg = spec.ecg.value_or(plan.ecg);
-  init.eeg = spec.eeg.value_or(plan.eeg);
-  init.eeg_signal = spec.eeg_signal.value_or(plan.eeg_signal);
-
-  const Fidelity fidelity = spec.fidelity.value_or(plan.fidelity);
-  init.board = apply_fidelity(spec.board.value_or(plan.board), fidelity);
-
-  init.storage = spec.storage.value_or(plan.storage);
-  if (const std::string problem = init.storage.validate(); !problem.empty()) {
-    throw std::invalid_argument("StorageParams (roster entry " +
-                                std::to_string(i) + "): " + problem);
-  }
-
-  // Always consume the skew stream, even when the spec pins the value:
-  // the draw positions of the remaining nodes must not shift.
-  const double tol = init.board.mcu.clock_tolerance;
-  const double drawn_skew = skew_rng.uniform(-tol, tol);
-  init.clock_skew = spec.clock_skew.value_or(drawn_skew);
-
-  init.address = spec.address != 0
-                     ? spec.address
-                     : static_cast<net::NodeId>(plan.address_offset + i + 1);
-  if (!used_addresses.insert(init.address).second) {
-    throw std::invalid_argument(
-        "duplicate radio address " + std::to_string(init.address) +
-        " in roster entry " + std::to_string(i) +
-        (init.address == bs_address ? " (collides with the base station)"
-                                    : ""));
-  }
-  init.name = "node" + std::to_string(init.address);
-  init.eeg_seed = plan.seed ^ sim::fnv1a64("eeg/" + init.name);
-  return init;
-}
-
 sim::Rng node_stream(const CellPlan& plan, const NodeStackInit& init,
                      const std::string& prefix) {
   const std::string key = plan.streams.key_streams_by_name
@@ -168,12 +106,62 @@ BuiltCell NetworkBuilder::build_cell(sim::SimContext& context,
   const net::NodeId bs_address = plan_bs_address(plan);
   used_addresses.insert(bs_address);
   for (std::size_t i = 0; i < plan.roster.size(); ++i) {
-    const NodeStackInit init =
-        resolve_node_init(plan, i, skew_rng, used_addresses, bs_address);
+    const NodeSpec& spec = plan.roster[i];
+
+    NodeStackInit init;
+    init.mac = plan.mac;
+    init.app = spec.app.value_or(plan.app);
+    init.tdma = plan.tdma;
+    init.aloha = plan.aloha;
+    init.csma = plan.csma;
+    init.csma_gts = spec.csma_gts.value_or(false);
+    if (init.csma_gts && plan.mac != MacKind::kCsmaCa) {
+      throw std::invalid_argument(
+          "roster entry " + std::to_string(i) +
+          " requests a GTS but the cell does not run CSMA/CA");
+    }
+    if (init.csma_gts && plan.csma.gts_slots == 0) {
+      throw std::invalid_argument(
+          "roster entry " + std::to_string(i) +
+          " requests a GTS but csma.gts_slots is 0");
+    }
+    init.streaming = spec.streaming.value_or(plan.streaming);
+    init.rpeak = spec.rpeak.value_or(plan.rpeak);
+    init.ecg = spec.ecg.value_or(plan.ecg);
+    init.eeg = spec.eeg.value_or(plan.eeg);
+    init.eeg_signal = spec.eeg_signal.value_or(plan.eeg_signal);
+
+    const Fidelity fidelity = spec.fidelity.value_or(plan.fidelity);
+    init.board = apply_fidelity(spec.board.value_or(plan.board), fidelity);
+
+    init.storage = spec.storage.value_or(plan.storage);
+    if (const std::string problem = init.storage.validate(); !problem.empty()) {
+      throw std::invalid_argument("StorageParams (roster entry " +
+                                  std::to_string(i) + "): " + problem);
+    }
+
+    // Always consume the skew stream, even when the spec pins the value:
+    // the draw positions of the remaining nodes must not shift.
+    const double tol = init.board.mcu.clock_tolerance;
+    const double drawn_skew = skew_rng.uniform(-tol, tol);
+    init.clock_skew = spec.clock_skew.value_or(drawn_skew);
+
+    init.address = spec.address != 0
+                       ? spec.address
+                       : static_cast<net::NodeId>(plan.address_offset + i + 1);
+    if (!used_addresses.insert(init.address).second) {
+      throw std::invalid_argument(
+          "duplicate radio address " + std::to_string(init.address) +
+          " in roster entry " + std::to_string(i) +
+          (init.address == bs_address ? " (collides with the base station)"
+                                      : ""));
+    }
+    init.name = "node" + std::to_string(init.address);
+    init.eeg_seed = plan.seed ^ sim::fnv1a64("eeg/" + init.name);
+
     sim::Rng mac_rng = node_stream(plan, init, plan.streams.mac_prefix);
     sim::Rng signal_rng = node_stream(plan, init, plan.streams.signal_prefix);
 
-    const Fidelity fidelity = plan.roster[i].fidelity.value_or(plan.fidelity);
     const os::CycleCostModel* nominal =
         fidelity == Fidelity::kModel ? &nominal_costs : nullptr;
     cell.nodes.push_back(std::make_unique<NodeStack>(
@@ -181,54 +169,6 @@ BuiltCell NetworkBuilder::build_cell(sim::SimContext& context,
     cell.boot_offsets.push_back(plan.roster[i].boot_offset);
   }
   return cell;
-}
-
-void NetworkBuilder::reset_cell(BuiltCell& cell, const CellPlan& plan) {
-  validate_plan(plan);
-  if (plan.roster.size() != cell.nodes.size()) {
-    throw std::invalid_argument(
-        "reset_cell: roster size " + std::to_string(plan.roster.size()) +
-        " does not match the built cell's " +
-        std::to_string(cell.nodes.size()) +
-        " nodes; a reset must keep the cell's shape");
-  }
-  if (cell.bs->mac_kind() != plan.mac) {
-    throw std::invalid_argument(
-        "reset_cell: MAC kind changed; a reset must keep the cell's shape");
-  }
-
-  cell.seed = plan.seed;
-  cell.stagger_stream = plan.streams.stagger;
-  cell.stagger_window = plan.stagger;
-  cell.boot_offsets.clear();
-
-  // Mirror build_cell's draw order exactly: one skew stream, base station
-  // first, then every node in index order.
-  sim::Rng skew_rng = sim::Rng::stream(plan.seed, plan.streams.skew);
-  const hw::BoardParams bs_board = apply_fidelity(plan.board, plan.fidelity);
-  const double bs_tol = bs_board.mcu.clock_tolerance;
-  const double bs_skew = skew_rng.uniform(-bs_tol, bs_tol);
-  cell.bs->reset(bs_skew);
-
-  std::unordered_set<net::NodeId> used_addresses;
-  const net::NodeId bs_address = plan_bs_address(plan);
-  used_addresses.insert(bs_address);
-  for (std::size_t i = 0; i < plan.roster.size(); ++i) {
-    const NodeStackInit init =
-        resolve_node_init(plan, i, skew_rng, used_addresses, bs_address);
-    if (init.address != cell.nodes[i]->address()) {
-      throw std::invalid_argument(
-          "reset_cell: roster entry " + std::to_string(i) +
-          " resolves to address " + std::to_string(init.address) +
-          " but the built node has " +
-          std::to_string(cell.nodes[i]->address()) +
-          "; a reset must keep the cell's shape");
-    }
-    sim::Rng mac_rng = node_stream(plan, init, plan.streams.mac_prefix);
-    sim::Rng signal_rng = node_stream(plan, init, plan.streams.signal_prefix);
-    cell.nodes[i]->reset(init, mac_rng, signal_rng);
-    cell.boot_offsets.push_back(plan.roster[i].boot_offset);
-  }
 }
 
 void NetworkBuilder::start_cell(sim::SimContext& context, BuiltCell& cell,

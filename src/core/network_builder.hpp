@@ -117,20 +117,6 @@ class NetworkBuilder {
   /// drawing the stagger stream in node order.
   static void start_cell(sim::SimContext& context, BuiltCell& cell,
                          NodeStarter starter = {});
-
-  /// Re-arms an already-built cell for another run without rebuilding it:
-  /// every stack is restored to its freshly-built state in place and the
-  /// per-device RNG draws are re-derived from the new plan in the exact
-  /// build order (skew: base station first, then nodes; mac/signal streams
-  /// by node key) so a reset cell is bit-identical to a rebuilt one.
-  ///
-  /// The plan must be same-shape as the one the cell was built from:
-  /// roster size, MAC kind, app kinds, addresses, board params, MAC
-  /// configs and storage enabled-ness unchanged.  Seeds, physiology,
-  /// storage values, boot offsets and fault-plan values may differ — this
-  /// is the population-sweep seam.  Caller resets the SimContext (clearing
-  /// the event queue) before calling, then start_cell() boots the cell.
-  static void reset_cell(BuiltCell& cell, const CellPlan& plan);
 };
 
 }  // namespace bansim::core

@@ -73,30 +73,6 @@ void NodeStack::start() {
   if (eeg_app_) eeg_app_->start();
 }
 
-void NodeStack::reset(const NodeStackInit& init, sim::Rng mac_rng,
-                      sim::Rng signal_rng) {
-  assert(init.address == address_ && "reset must keep the node's address");
-  assert(init.mac == mac_kind_ && init.app == app_kind_ &&
-         "reset must keep MAC and app kinds (same-shape contract)");
-  assert(init.storage.enabled == store_.has_value() &&
-         "reset must keep storage enabled-ness (same-shape contract)");
-  ecg_.reset(init.ecg, signal_rng);
-  // The EEG synthesizer re-derives one stream and eight spectral components
-  // per channel; only nodes that actually run the EEG app ever sample it,
-  // so skipping the rebuild elsewhere keeps reset ≡ rebuild on every
-  // observable while shaving the dominant per-node reset cost.
-  if (eeg_app_) eeg_.reset(init.eeg_signal, init.eeg_seed);
-  board_.reset(init.clock_skew);
-  os_.reset();
-  mac_->reset_for_reuse(mac_rng);
-  if (streaming_) streaming_->reset(init.streaming);
-  if (rpeak_) rpeak_->reset(init.rpeak);
-  if (eeg_app_) eeg_app_->reset(init.eeg);
-  // optional::emplace destroys and reconstructs in place — no allocation,
-  // and storage *values* (capacity spread) may change per patient.
-  if (store_) store_.emplace(init.storage);
-}
-
 mac::NodeMac& NodeStack::mac() {
   assert(mac_kind_ == MacKind::kTdma && "stack does not run the TDMA MAC");
   return static_cast<mac::NodeMac&>(*mac_);
@@ -152,13 +128,6 @@ BaseStationStack::BaseStationStack(sim::SimContext& context,
 }
 
 void BaseStationStack::start() { mac_->start(); }
-
-void BaseStationStack::reset(double clock_skew) {
-  board_.reset(clock_skew);
-  os_.reset();
-  mac_->reset_for_reuse();
-  app_.reset();
-}
 
 mac::BaseStationMac& BaseStationStack::tdma_mac() {
   assert(mac_kind_ == MacKind::kTdma &&

@@ -68,15 +68,6 @@ class NodeStack {
   /// Boots the MAC and the application.
   void start();
 
-  /// Restores the whole slice to its freshly-built state in place, keeping
-  /// every heap object (MAC, apps, board wiring, warmed buffers).  The
-  /// init must be same-shape as construction: address, MAC/app kind, board
-  /// params, MAC configs and storage enabled-ness unchanged — only seeds,
-  /// physiology (ecg), clock skew and storage *values* may differ (see
-  /// NetworkBuilder::reset_cell).  Caller must have reset the SimContext
-  /// (event queue cleared) first; start() boots the stack again.
-  void reset(const NodeStackInit& init, sim::Rng mac_rng, sim::Rng signal_rng);
-
   [[nodiscard]] const std::string& name() const { return board_.name(); }
   [[nodiscard]] net::NodeId address() const { return address_; }
   [[nodiscard]] AppKind app_kind() const { return app_kind_; }
@@ -146,9 +137,6 @@ class BaseStationStack {
                    const os::CycleCostModel* nominal_costs);
 
   void start();
-
-  /// Same-shape in-place reset (see NodeStack::reset).
-  void reset(double clock_skew);
 
   [[nodiscard]] const std::string& name() const { return board_.name(); }
   [[nodiscard]] MacKind mac_kind() const { return mac_kind_; }

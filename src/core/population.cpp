@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -106,7 +106,7 @@ BanConfig PopulationGenerator::patient(std::size_t index) const {
       cfg.fault_plan.episodes.push_back(episode);
     }
     // A motion population always carries >= 1 episode per patient, so this
-    // switch is constant across the population (reset-compatible shape).
+    // switch is constant across the population (one network shape).
     cfg.fault_plan.enabled = true;
   }
 
@@ -145,17 +145,11 @@ ComponentJoules node_joules(NodeStack& node, sim::TimePoint now) {
 
 }  // namespace
 
-energy::CampaignRunRow PatientRunner::run(const PopulationGenerator& generator,
-                                          const PatientWindow& window,
-                                          std::size_t index) {
+energy::CampaignRunRow run_patient(const PopulationGenerator& generator,
+                                   const PatientWindow& window,
+                                   std::size_t index) {
   const BanConfig config = generator.patient(index);
-  if (!net_) {
-    net_ = std::make_unique<BanNetwork>(config);
-  } else {
-    net_->reset(config);
-    ++runs_reused_;
-  }
-  BanNetwork& net = *net_;
+  BanNetwork net{config};
   net.start();
 
   energy::CampaignRunRow row;
@@ -230,14 +224,14 @@ PopulationCampaignResult run_population_campaign(
 
   const PatientWindow window{options.measure, options.settle,
                              options.join_deadline};
-  const std::function<energy::CampaignRunRow(PatientRunner&, std::size_t)>
-      one_patient = [&](PatientRunner& cell, std::size_t index) {
-        return cell.run(generator, window, index);
-      };
-
-  const std::vector<energy::CampaignRunRow> rows =
-      runner.run_with_context<energy::CampaignRunRow, PatientRunner>(
-          options.patients, one_patient);
+  std::vector<std::function<energy::CampaignRunRow()>> patients;
+  patients.reserve(options.patients);
+  for (std::size_t index = 0; index < options.patients; ++index) {
+    patients.emplace_back([&generator, &window, index] {
+      return run_patient(generator, window, index);
+    });
+  }
+  const std::vector<energy::CampaignRunRow> rows = runner.run(patients);
 
   PopulationCampaignResult result;
   result.columns.reserve(rows.size());
@@ -247,7 +241,6 @@ PopulationCampaignResult run_population_campaign(
   }
   result.lifetime_cdf =
       energy::MetricCdf::build(result.columns.lifetime_hours, options.cdf_bins);
-  result.runs_reused = runner.summary().runs_reused;
   result.workers = runner.summary().workers;
   result.wall_seconds = runner.summary().wall_seconds;
   return result;
@@ -261,9 +254,8 @@ std::string PopulationCampaignResult::render() const {
       wall_seconds > 0 ? static_cast<double>(patients) / wall_seconds : 0.0;
   std::snprintf(line, sizeof(line),
                 "population campaign: %zu patients, %zu failed joins, "
-                "%u workers, %zu runs reused, %.2f s (%.1f runs/s)\n",
-                patients, failed_joins, workers, runs_reused, wall_seconds,
-                rate);
+                "%u workers, %.2f s (%.1f runs/s)\n",
+                patients, failed_joins, workers, wall_seconds, rate);
   out += line;
 
   std::vector<double> scratch;

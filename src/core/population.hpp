@@ -6,19 +6,17 @@
 // sampling physiology and environment from named RNG streams keyed by the
 // patient index — heart-rate distribution, ECG waveform morphology and
 // noise, motion/posture shadowing episodes on the channel, and the spread
-// of manufactured storage capacity.  Every variant is same-shape with the
-// base config (node count, MAC/app kinds, activeness of the fault layer),
-// which is exactly the contract BanNetwork::reset() enforces, so a
-// campaign runs patient k+1 by resetting the warmed cell patient k used.
+// of manufactured storage capacity.
 //
-// run_population_campaign() is that loop: per-worker reused BanNetwork
-// cells via sim::ScenarioRunner::run_with_context, per-run metrics
-// appended straight into columnar accumulators (no per-run report
-// objects), and a streaming lifetime CDF over the population.
+// A patient is one fresh cell: run_patient() builds a BanNetwork from the
+// patient's config, joins it and measures one window, as the paper's
+// estimator charges one node life per run.  run_population_campaign()
+// fans patients out over sim::ScenarioRunner and appends per-run metrics
+// straight into columnar accumulators (no per-run report objects), plus a
+// streaming lifetime CDF over the population.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/ban_network.hpp"
@@ -48,7 +46,7 @@ struct PopulationConfig {
   /// Motion/posture: per-patient timed shadowing episodes on the channel.
   /// When enabled, every patient draws AT LEAST one episode, so
   /// FaultPlan::any()/touches_channel() — the network's shape — is the
-  /// same for the whole population and cells stay reset-compatible.
+  /// same for the whole population.
   bool motion{false};
   std::uint32_t motion_episodes_min{1};
   std::uint32_t motion_episodes_max{3};
@@ -80,7 +78,7 @@ class PopulationGenerator {
 
   /// The i-th patient's config: base with per-patient seed, physiology,
   /// motion episodes and storage capacity — same-shape with every other
-  /// patient (and with patient(0), which campaigns build their cells from).
+  /// patient.
   [[nodiscard]] BanConfig patient(std::size_t index) const;
 
   [[nodiscard]] const BanConfig& base() const { return base_; }
@@ -103,33 +101,14 @@ struct PatientWindow {
   sim::Duration join_deadline{sim::Duration::seconds(30)};
 };
 
-/// Warmed-cell per-patient executor: the first run() builds a BanNetwork
-/// from that patient's config, every later run() resets it in place (the
-/// schedule-reset-run seam).  One runner therefore serves exactly one
-/// same-shape scenario family — reusing it across generators whose base
-/// configs differ in shape (another MAC protocol, roster, storage
-/// activeness) throws from BanNetwork::reset; keep one runner per family.
-/// run(i) is a pure function of (generator, window, i): bit-identical
-/// whichever runner executes it, which is what makes shard results
-/// merge-order invariant.
-class PatientRunner {
- public:
-  PatientRunner() = default;
-
-  /// Runs patient `index` and returns its scalar row (energies over the
-  /// measured window, join latency, sent/delivered packets, projected
-  /// ward lifetime).
-  [[nodiscard]] energy::CampaignRunRow run(const PopulationGenerator& generator,
-                                           const PatientWindow& window,
-                                           std::size_t index);
-
-  /// Runs executed on a reused (reset) cell rather than a fresh build.
-  [[nodiscard]] std::size_t runs_reused() const { return runs_reused_; }
-
- private:
-  std::unique_ptr<BanNetwork> net_;
-  std::size_t runs_reused_{0};
-};
+/// Runs patient `index` on a freshly built cell and returns its scalar row
+/// (energies over the measured window, join latency, sent/delivered
+/// packets, projected ward lifetime).  A pure function of (generator,
+/// window, index): bit-identical whichever process or thread runs it,
+/// which is what makes shard results merge-order invariant.
+[[nodiscard]] energy::CampaignRunRow run_patient(
+    const PopulationGenerator& generator, const PatientWindow& window,
+    std::size_t index);
 
 struct PopulationCampaignOptions {
   std::size_t patients{100};
@@ -146,7 +125,6 @@ struct PopulationCampaignResult {
   /// CDF over columns.lifetime_hours (never-depleting patients are the
   /// unbounded tail).
   energy::MetricCdf lifetime_cdf;
-  std::size_t runs_reused{0};
   unsigned workers{1};
   double wall_seconds{0};
   std::size_t failed_joins{0};
@@ -155,10 +133,9 @@ struct PopulationCampaignResult {
   [[nodiscard]] std::string render() const;
 };
 
-/// Runs every patient of the population: per-worker warmed cells
-/// (schedule-reset-run; the first run of each worker builds, the rest
-/// reset), columnar metric collection, lifetime CDF reduction.  Results
-/// are index-ordered and bit-identical for any worker count.
+/// Runs every patient of the population on a thread pool (one fresh cell
+/// per patient), collects the rows into columns and reduces the lifetime
+/// CDF.  Results are index-ordered and bit-identical for any worker count.
 [[nodiscard]] PopulationCampaignResult run_population_campaign(
     const PopulationGenerator& generator,
     const PopulationCampaignOptions& options);

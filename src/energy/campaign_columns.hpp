@@ -8,7 +8,7 @@
 // appends by reading its meters directly, with no intermediate report, and
 // the reductions the campaign needs (mean, percentiles, the lifetime CDF)
 // stream over a column in one pass.  reserve() once per campaign; appends
-// are then allocation-free, matching the reset-per-run steady state.
+// are then allocation-free.
 #pragma once
 
 #include <cstdint>

@@ -38,12 +38,6 @@ void EnergyMeter::end_state(sim::TimePoint when) {
   residency_.close(when);
 }
 
-void EnergyMeter::reset(sim::TimePoint start) {
-  std::fill(transient_joules_.begin(), transient_joules_.end(), 0.0);
-  residency_.reset(0, start);
-  start_ = start;
-}
-
 double EnergyMeter::energy_in(int state, sim::TimePoint now) const {
   const std::size_t i = checked_state(state, "energy_in");
   const double t = residency_.time_in(state, now).to_seconds();

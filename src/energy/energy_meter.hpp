@@ -51,13 +51,6 @@ class EnergyMeter {
   /// would do.
   void end_state(sim::TimePoint when);
 
-  /// Run-reset: restores the meter to its just-constructed accounting —
-  /// state 0 entered at `start`, zero residency, zero transients — while
-  /// the component name, supply voltage, state table and any attached
-  /// check hooks survive.  Works regardless of what state a crashed or
-  /// mid-run component left the meter in.
-  void reset(sim::TimePoint start = sim::TimePoint::zero());
-
   [[nodiscard]] int current_state() const { return residency_.current_state(); }
   [[nodiscard]] const std::string& component() const { return component_; }
   [[nodiscard]] double supply_volts() const { return supply_volts_; }

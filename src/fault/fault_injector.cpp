@@ -25,21 +25,6 @@ void FaultInjector::add_node(mac::NodeMacBase& mac, hw::Board& board) {
   nodes_.push_back(std::move(rec));
 }
 
-void FaultInjector::reset(const FaultPlan& plan) {
-  plan_ = plan;
-  fade_rng_ = sim::Rng::stream(context_.seed(), "fault/fade");
-  crash_rng_ = sim::Rng::stream(context_.seed(), "fault/crash");
-  for (NodeRec& rec : nodes_) {
-    rec.battery = hw::Battery{brownout_cell(plan_.brownout)};
-    rec.drawn_joules = 0.0;
-    rec.dead = false;
-  }
-  fade_bad_ = false;
-  stopped_ = false;
-  started_ = false;
-  stats_ = FaultInjectorStats{};
-}
-
 double FaultInjector::board_joules(const NodeRec& rec) const {
   double total = 0.0;
   for (const auto& c : rec.board->breakdown(context_.simulator.now())) {

@@ -58,12 +58,6 @@ class FaultInjector {
   /// scheduled reboots still fire, so crashed nodes come back.
   void stop();
 
-  /// Restores freshly-constructed state for a new (same-activeness) plan,
-  /// keeping the node registrations and any installed error model.  Call
-  /// after the SimContext was reset so the fade/crash streams re-derive
-  /// from the run's new seed; start() arms the new plan.
-  void reset(const FaultPlan& plan);
-
   [[nodiscard]] bool fading_now() const { return fade_bad_; }
   [[nodiscard]] const FaultInjectorStats& stats() const { return stats_; }
 

@@ -43,21 +43,6 @@ void StorageDriver::start() {
 
 void StorageDriver::stop() { stopped_ = true; }
 
-void StorageDriver::reset() {
-  for (NodeRec& rec : nodes_) {
-    rec.baseline_joules = 0.0;
-    rec.sampled_joules = 0.0;
-    rec.last_sample = sim::TimePoint{};
-    rec.dead = false;
-    rec.died_at = sim::TimePoint{};
-    rec.deaths = 0;
-  }
-  started_ = false;
-  stopped_ = false;
-  first_death_ = sim::TimePoint::max();
-  stats_ = StorageDriverStats{};
-}
-
 void StorageDriver::step(std::size_t i) {
   if (stopped_) return;
   NodeRec& rec = nodes_[i];

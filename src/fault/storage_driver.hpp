@@ -69,11 +69,6 @@ class StorageDriver {
   /// Stops the sampling events re-arming themselves so the queue drains.
   void stop();
 
-  /// Restores freshly-constructed accounting, keeping node registrations.
-  /// The stores themselves are reset by their owning stacks; start() takes
-  /// fresh baselines.
-  void reset();
-
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] const StorageDriverStats& stats() const { return stats_; }
 

@@ -36,12 +36,6 @@ class Adc12 {
   /// Quantizes `volts` to the ADC's code range (clamping).
   [[nodiscard]] std::uint16_t quantize(double volts) const;
 
-  /// Run-reset: idle with zero conversions; the input wiring survives.
-  void reset() {
-    busy_ = false;
-    conversions_ = 0;
-  }
-
  private:
   sim::Simulator& simulator_;
   AdcParams params_;

@@ -17,13 +17,6 @@ Board::Board(sim::SimContext& context, phy::Channel& channel,
   });
 }
 
-void Board::reset(double clock_skew) {
-  mcu_.reset(clock_skew);
-  radio_.reset();
-  adc_.reset();
-  timer_.reset();
-}
-
 std::vector<energy::ComponentEnergy> Board::breakdown(sim::TimePoint now) const {
   std::vector<energy::ComponentEnergy> rows;
 

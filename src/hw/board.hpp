@@ -49,12 +49,6 @@ class Board {
   [[nodiscard]] std::vector<energy::ComponentEnergy> breakdown(
       sim::TimePoint now) const;
 
-  /// Run-reset: every component back to its just-constructed state (the
-  /// ASIC front-end is stateless — constant power from time zero, which
-  /// the clock rewind handles).  `clock_skew` replaces the DCO skew, as
-  /// the builder re-draws it per run.
-  void reset(double clock_skew);
-
  private:
   std::string name_;
   Mcu mcu_;

@@ -61,15 +61,6 @@ void Mcu::set_clock_skew(double skew) {
                [&](sim::TraceMessage& m) { m << "dco skew step -> " << skew; });
 }
 
-void Mcu::reset(double clock_skew) {
-  clock_skew_ = clock_skew;
-  local_clock_base_ = sim::Duration::zero();
-  true_base_ = sim::TimePoint{};
-  mode_ = McuMode::kActive;
-  wakeups_ = 0;
-  meter_.reset();
-}
-
 sim::Duration Mcu::enter(McuMode mode) {
   if (mode == mode_) return sim::Duration::zero();
   const bool waking = mode == McuMode::kActive;

@@ -80,13 +80,6 @@ class Mcu {
   [[nodiscard]] const energy::EnergyMeter& meter() const { return meter_; }
   [[nodiscard]] energy::EnergyMeter& meter() { return meter_; }
 
-  /// Run-reset: back to the just-constructed MCU — active mode at time
-  /// zero, zero wakeups, fresh meter, and the DCO skew replaced with
-  /// `clock_skew` (the builder re-draws it from the skew stream, so a
-  /// reseeded run gets the same skew a rebuild would).  Undoes any
-  /// fault-injected set_clock_skew() steps.
-  void reset(double clock_skew);
-
  private:
   sim::SimContext& context_;
   sim::Simulator& simulator_;

@@ -79,16 +79,6 @@ void RadioNrf2401::after(sim::Duration d, std::function<void()> fn) {
   });
 }
 
-void RadioNrf2401::reset() {
-  ++epoch_;
-  state_ = RadioState::kPowerDown;
-  ready_at_ = sim::TimePoint{};
-  latched_frame_.reset();
-  locked_up_ = false;
-  stats_ = RadioStats{};
-  meter_.reset();
-}
-
 void RadioNrf2401::power_down() {
   ++epoch_;
   latched_frame_.reset();

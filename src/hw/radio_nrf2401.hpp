@@ -116,14 +116,6 @@ class RadioNrf2401 final : public phy::MediumListener {
   void force_lockup() { locked_up_ = true; }
   [[nodiscard]] bool locked_up() const { return locked_up_; }
 
-  /// Run-reset: powered down with no latched frame, no lock-up, zero
-  /// stats and a fresh meter.  Wiring survives: the channel attachment
-  /// (channel_id_), local address and driver callbacks are configuration.
-  /// The caller guarantees the event queue was cleared first, so no stale
-  /// FSM completion can fire into the reset chip (epoch_ additionally
-  /// guards the pattern).
-  void reset();
-
   /// Duration of the SPI transfer of `bytes` into/out of the FIFO.
   [[nodiscard]] sim::Duration spi_time(std::size_t bytes) const;
 

@@ -29,13 +29,6 @@ class TimerUnit {
   [[nodiscard]] bool armed() const { return handle_.pending(); }
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
 
-  /// Run-reset: forgets the pending alarm (the caller cleared the event
-  /// queue, so the handle is stale anyway) and zeroes the fire count.
-  void reset() {
-    handle_ = sim::EventHandle{};
-    fired_ = 0;
-  }
-
  private:
   sim::Simulator& simulator_;
   Mcu& mcu_;

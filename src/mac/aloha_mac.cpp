@@ -19,7 +19,7 @@ void AlohaNodeMac::start() {
   const std::uint64_t epoch = boot_epoch_;
   os_.radio().init([this, epoch] {
     if (boot_epoch_ != epoch) return;
-    ready_ = true;
+    life_.ready = true;
     kick();
   });
 }
@@ -54,14 +54,10 @@ void AlohaNodeMac::crash() {
   // Posted tasks and armed callbacks belong to the old life; the epoch bump
   // no-ops whatever teardown cannot reach.
   ++boot_epoch_;
-  stop_timer(ack_timer_);
-  stop_timer(attempt_timer_);
+  stop_timer(life_.ack_timer);
+  stop_timer(life_.attempt_timer);
   tx_queue_.clear();
-  ready_ = false;
-  attempt_pending_ = false;
-  awaiting_ack_ = false;
-  retries_ = 0;
-  seq_ = 0;
+  life_ = {};
   // The driver forgets its in-flight send; the chip is cut mid-state (a
   // forced power-down is legal from anywhere and drops any latched frame).
   os_.radio().reset();
@@ -79,21 +75,6 @@ void AlohaNodeMac::reboot() {
   start();
 }
 
-void AlohaNodeMac::reset_for_reuse(sim::Rng rng) {
-  rng_ = rng;
-  tx_queue_.clear();
-  attempt_pending_ = false;
-  awaiting_ack_ = false;
-  retries_ = 0;
-  seq_ = 0;
-  ready_ = false;
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  attempt_timer_ = os::TimerService::kInvalidTimer;
-  boot_epoch_ = 0;
-  crashed_ = false;
-  stats_ = AlohaNodeStats{};
-}
-
 MacStatsSnapshot AlohaNodeMac::stats_snapshot() const {
   MacStatsSnapshot snap;
   snap.payloads_queued = stats_.payloads_queued;
@@ -108,20 +89,21 @@ MacStatsSnapshot AlohaNodeMac::stats_snapshot() const {
 }
 
 void AlohaNodeMac::kick() {
-  if (!ready_ || attempt_pending_ || awaiting_ack_ || tx_queue_.empty()) {
+  if (!life_.ready || life_.attempt_pending || life_.awaiting_ack ||
+      tx_queue_.empty()) {
     return;
   }
-  attempt_pending_ = true;
+  life_.attempt_pending = true;
   const double dither_s =
       rng_.uniform(0.0, config_.initial_dither.to_seconds());
-  attempt_timer_ = os_.timers().start_oneshot(
+  life_.attempt_timer = os_.timers().start_oneshot(
       "aloha.dither", sim::Duration::from_seconds(dither_s),
       [this] { attempt(); });
 }
 
 void AlohaNodeMac::attempt() {
-  attempt_timer_ = os::TimerService::kInvalidTimer;
-  attempt_pending_ = false;
+  life_.attempt_timer = os::TimerService::kInvalidTimer;
+  life_.attempt_pending = false;
   if (tx_queue_.empty()) return;
   if (os_.radio().sending() || os_.radio().listening()) {
     // Radio mid-transaction (shouldn't happen in this MAC): retry shortly.
@@ -140,19 +122,19 @@ void AlohaNodeMac::attempt() {
     data.header.dest = net::kBaseStationId;
     data.header.src = self_;
     data.header.type = net::PacketType::kData;
-    data.header.seq = seq_++;
+    data.header.seq = life_.seq++;
     data.payload = payload;
     ++stats_.data_sent;
-    if (retries_ > 0) ++stats_.retransmissions;
+    if (life_.retries > 0) ++stats_.retransmissions;
     os_.radio().send(data, [this, epoch] {
       if (boot_epoch_ != epoch) return;
       if (!config_.ack_data) {
         kick();
         return;
       }
-      awaiting_ack_ = true;
+      life_.awaiting_ack = true;
       os_.radio().start_listen();
-      ack_timer_ = os_.timers().start_oneshot(
+      life_.ack_timer = os_.timers().start_oneshot(
           "aloha.ack_timeout", config_.ack_wait, [this] { on_ack_timeout(); });
     });
   });
@@ -160,36 +142,38 @@ void AlohaNodeMac::attempt() {
 
 void AlohaNodeMac::on_packet(const net::Packet& packet) {
   if (crashed_) return;
-  if (packet.header.type != net::PacketType::kAck || !awaiting_ack_) return;
-  awaiting_ack_ = false;
+  if (packet.header.type != net::PacketType::kAck || !life_.awaiting_ack) {
+    return;
+  }
+  life_.awaiting_ack = false;
   ++stats_.acks_received;
-  stop_timer(ack_timer_);
+  stop_timer(life_.ack_timer);
   if (os_.radio().listening()) os_.radio().stop_listen();
   if (!tx_queue_.empty()) tx_queue_.pop_front();
-  retries_ = 0;
+  life_.retries = 0;
   kick();
 }
 
 void AlohaNodeMac::on_ack_timeout() {
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  if (!awaiting_ack_) return;
-  awaiting_ack_ = false;
+  life_.ack_timer = os::TimerService::kInvalidTimer;
+  if (!life_.awaiting_ack) return;
+  life_.awaiting_ack = false;
   if (os_.radio().listening() &&
       os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
     os_.radio().stop_listen();
   }
-  if (++retries_ > config_.max_retries) {
+  if (++life_.retries > config_.max_retries) {
     if (!tx_queue_.empty()) tx_queue_.pop_front();
     ++stats_.retry_drops;
-    retries_ = 0;
+    life_.retries = 0;
     kick();
     return;
   }
   // Exponential backoff: window doubles with every retry.
   const double window_s = config_.backoff_base.to_seconds() *
-                          static_cast<double>(1u << (retries_ - 1));
-  attempt_pending_ = true;
-  attempt_timer_ = os_.timers().start_oneshot(
+                          static_cast<double>(1u << (life_.retries - 1));
+  life_.attempt_pending = true;
+  life_.attempt_timer = os_.timers().start_oneshot(
       "aloha.backoff",
       sim::Duration::from_seconds(rng_.uniform(0.0, window_s)),
       [this] { attempt(); });
@@ -207,12 +191,6 @@ AlohaBaseStation::AlohaBaseStation(sim::SimContext& context,
 
 void AlohaBaseStation::start() {
   os_.radio().init([this] { os_.radio().start_listen(); });
-}
-
-void AlohaBaseStation::reset_for_reuse() {
-  sources_heard_.clear();
-  data_received_ = 0;
-  acks_sent_ = 0;
 }
 
 void AlohaBaseStation::on_packet(const net::Packet& packet) {

@@ -63,7 +63,7 @@ class AlohaNodeMac final : public NodeMacBase {
 
   /// There is no association handshake: a node is "joined" as soon as its
   /// radio finished the cold-boot power-up.
-  [[nodiscard]] bool joined() const override { return ready_; }
+  [[nodiscard]] bool joined() const override { return life_.ready; }
   [[nodiscard]] std::size_t queue_depth() const override {
     return tx_queue_.size();
   }
@@ -85,8 +85,6 @@ class AlohaNodeMac final : public NodeMacBase {
   void reboot() override;
   [[nodiscard]] bool crashed() const override { return crashed_; }
 
-  void reset_for_reuse(sim::Rng rng) override;
-
   static constexpr std::size_t kMaxQueue = 16;
 
  private:
@@ -104,13 +102,18 @@ class AlohaNodeMac final : public NodeMacBase {
   net::NodeId self_;
   sim::Rng rng_;
   std::deque<std::vector<std::uint8_t>> tx_queue_;
-  bool attempt_pending_{false};
-  bool awaiting_ack_{false};
-  std::uint8_t retries_{0};
-  std::uint8_t seq_{0};
-  bool ready_{false};
-  os::TimerService::TimerId ack_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId attempt_timer_{os::TimerService::kInvalidTimer};
+  /// Per-life state: everything crash() forgets.  The defaults are the
+  /// values after a crash, so crash() is teardown plus `life_ = {}`.
+  struct Life {
+    bool ready{false};
+    bool attempt_pending{false};
+    bool awaiting_ack{false};
+    std::uint8_t retries{0};
+    std::uint8_t seq{0};
+    os::TimerService::TimerId ack_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId attempt_timer{os::TimerService::kInvalidTimer};
+  };
+  Life life_;
   /// Crash teardown cannot cancel already-posted scheduler tasks; every
   /// posted closure captures the epoch at post time and no-ops if a crash
   /// bumped it since (see NodeMac::boot_epoch_).
@@ -131,8 +134,6 @@ class AlohaBaseStation final : public BaseStationMacBase {
     handler_ = std::move(handler);
   }
   void start() override;
-
-  void reset_for_reuse() override;
 
   [[nodiscard]] std::uint64_t data_received() const { return data_received_; }
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }

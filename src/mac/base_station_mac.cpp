@@ -36,19 +36,6 @@ std::size_t BaseStationMac::joined_nodes() const {
                     [](net::NodeId id) { return id != kFreeSlot; }));
 }
 
-void BaseStationMac::reset_for_reuse() {
-  if (config_.variant == TdmaVariant::kStatic) {
-    slot_owners_.assign(config_.max_slots, kFreeSlot);
-    silent_cycles_.assign(config_.max_slots, 0);
-  } else {
-    slot_owners_.clear();
-    silent_cycles_.clear();
-  }
-  beacon_seq_ = 0;
-  next_cycle_at_ = sim::TimePoint{};
-  stats_ = BaseStationStats{};
-}
-
 void BaseStationMac::start() {
   os_.radio().init([this] { begin_cycle(); });
 }

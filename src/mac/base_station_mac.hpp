@@ -53,8 +53,6 @@ class BaseStationMac final : public BaseStationMacBase {
   /// Powers the radio and begins the beacon cycle.
   void start() override;
 
-  void reset_for_reuse() override;
-
   [[nodiscard]] const std::vector<net::NodeId>& slot_owners() const {
     return slot_owners_;
   }

@@ -54,6 +54,7 @@ CsmaNodeMac::CsmaNodeMac(sim::SimContext& context, os::NodeOs& node_os,
       config_{config}, self_{self}, rng_{rng}, use_gts_{use_gts},
       bs_address_{CsmaConfig::bs_address(config.pan_id)} {
   assert(self_ != bs_address_ && self_ != net::kBroadcastId);
+  life_.searching = true;  // Life defaults to the post-crash false
   os_.radio().radio().set_local_address(self_);
   os_.radio().set_receive_handler(
       [this](const net::Packet& p) { on_packet(p); });
@@ -73,17 +74,17 @@ void CsmaNodeMac::stop_timer(os::TimerService::TimerId& id) {
 }
 
 void CsmaNodeMac::cancel_cycle_timers() {
-  stop_timer(wake_timer_);
-  stop_timer(backoff_timer_);
-  stop_timer(cca_timer_);
-  stop_timer(gts_timer_);
+  stop_timer(life_.wake_timer);
+  stop_timer(life_.backoff_timer);
+  stop_timer(life_.cca_timer);
+  stop_timer(life_.gts_timer);
 }
 
 void CsmaNodeMac::cancel_all_timers() {
   cancel_cycle_timers();
-  stop_timer(timeout_timer_);
-  stop_timer(ack_timer_);
-  stop_timer(grant_timer_);
+  stop_timer(life_.timeout_timer);
+  stop_timer(life_.ack_timer);
+  stop_timer(life_.grant_timer);
 }
 
 void CsmaNodeMac::crash() {
@@ -93,23 +94,7 @@ void CsmaNodeMac::crash() {
   ++boot_epoch_;  // invalidate posted closures (the NodeMac pattern)
   cancel_all_timers();
   tx_queue_.clear();
-  synced_ = false;
-  searching_ = false;
-  my_gts_ = -1;
-  missed_ = 0;
-  attempt_active_ = false;
-  attempt_is_request_ = false;
-  awaiting_ack_ = false;
-  awaiting_grant_ = false;
-  retries_ = 0;
-  nb_ = 0;
-  be_ = 0;
-  data_seq_ = 0;
-  last_beacon_wire_bytes_ = 0;
-  beacon_gts_slots_ = 0;
-  beacon_gts_slot_ = sim::Duration::zero();
-  search_pending_ = false;
-  rejoin_pending_ = false;
+  life_ = {};
   os_.radio().reset();
   os_.radio().radio().power_down();
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
@@ -122,50 +107,10 @@ void CsmaNodeMac::reboot() {
   ++stats_.reboots;
   must_reassociate_ = true;
   reboot_at_ = simulator_.now();
-  rejoin_pending_ = true;
+  life_.rejoin_pending = true;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [](sim::TraceMessage& m) { m << "reboot: cold start"; });
   start();
-}
-
-void CsmaNodeMac::reset_for_reuse(sim::Rng rng) {
-  rng_ = rng;
-  tx_queue_.clear();
-  data_seq_ = 0;
-  synced_ = false;
-  searching_ = true;
-  cycle_known_ = sim::Duration::zero();
-  last_cycle_start_ = sim::TimePoint{};
-  cap_start_ = sim::TimePoint{};
-  last_beacon_wire_bytes_ = 0;
-  missed_ = 0;
-  beacon_gts_slots_ = 0;
-  beacon_gts_slot_ = sim::Duration::zero();
-  my_gts_ = -1;
-  attempt_active_ = false;
-  attempt_is_request_ = false;
-  nb_ = 0;
-  be_ = 0;
-  retries_ = 0;
-  awaiting_ack_ = false;
-  awaiting_grant_ = false;
-  wake_timer_ = os::TimerService::kInvalidTimer;
-  timeout_timer_ = os::TimerService::kInvalidTimer;
-  backoff_timer_ = os::TimerService::kInvalidTimer;
-  cca_timer_ = os::TimerService::kInvalidTimer;
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  grant_timer_ = os::TimerService::kInvalidTimer;
-  gts_timer_ = os::TimerService::kInvalidTimer;
-  boot_epoch_ = 0;
-  must_reassociate_ = false;
-  crashed_ = false;
-  search_started_ = sim::TimePoint{};
-  search_pending_ = false;
-  reboot_at_ = sim::TimePoint{};
-  rejoin_pending_ = false;
-  resync_times_.clear();
-  rejoin_times_.clear();
-  stats_ = CsmaNodeStats{};
 }
 
 void CsmaNodeMac::queue_payload(std::vector<std::uint8_t> payload) {
@@ -182,8 +127,9 @@ void CsmaNodeMac::queue_payload(std::vector<std::uint8_t> payload) {
   tx_queue_.push_back(std::move(payload));
   // A CAP node may contend right away; a GTS node's payload waits for its
   // slot (armed at beacon time, exactly like the TDMA slot transmission).
-  if (synced_ && !use_gts_ && !attempt_active_ && !awaiting_ack_) {
-    attempt_is_request_ = false;
+  if (life_.synced && !use_gts_ && !life_.attempt_active &&
+      !life_.awaiting_ack) {
+    life_.attempt_is_request = false;
     begin_attempt();
   }
 }
@@ -205,8 +151,8 @@ MacStatsSnapshot CsmaNodeMac::stats_snapshot() const {
 }
 
 sim::Duration CsmaNodeMac::beacon_air_estimate() const {
-  const std::size_t bytes = last_beacon_wire_bytes_ != 0
-                                ? last_beacon_wire_bytes_
+  const std::size_t bytes = life_.last_beacon_wire_bytes != 0
+                                ? life_.last_beacon_wire_bytes
                                 : net::kHeaderBytes + 12 + net::kCrcBytes;
   return phy::air_time(os_.radio().radio().phy_config(), bytes);
 }
@@ -220,22 +166,22 @@ sim::Duration CsmaNodeMac::tx_air_estimate(std::size_t payload_bytes) const {
 }
 
 sim::TimePoint CsmaNodeMac::cap_end() const {
-  const sim::Duration cfp =
-      beacon_gts_slot_ * static_cast<std::int64_t>(beacon_gts_slots_);
+  const sim::Duration cfp = life_.beacon_gts_slot *
+                            static_cast<std::int64_t>(life_.beacon_gts_slots);
   return last_cycle_start_ + cycle_known_ - cfp - config_.guard();
 }
 
 void CsmaNodeMac::enter_search() {
-  synced_ = false;
-  searching_ = true;
+  life_.synced = false;
+  life_.searching = true;
   ++stats_.resyncs;
-  missed_ = 0;
-  my_gts_ = -1;
-  attempt_active_ = false;
+  life_.missed = 0;
+  life_.my_gts = -1;
+  life_.attempt_active = false;
   cancel_cycle_timers();
-  stop_timer(timeout_timer_);
+  stop_timer(life_.timeout_timer);
   search_started_ = simulator_.now();
-  search_pending_ = true;
+  life_.search_pending = true;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [](sim::TraceMessage& m) { m << "searching for beacon"; });
   if (!os_.radio().listening()) os_.radio().start_listen();
@@ -260,7 +206,7 @@ void CsmaNodeMac::on_packet(const net::Packet& packet) {
       return;
   }
   const sim::TimePoint rx_time = simulator_.now();
-  stop_timer(timeout_timer_);
+  stop_timer(life_.timeout_timer);
   if (os_.radio().listening()) os_.radio().stop_listen();
 
   const std::uint64_t cycles =
@@ -280,35 +226,35 @@ void CsmaNodeMac::process_beacon(const net::Packet& packet,
   if (!payload) return;
 
   ++stats_.beacons_received;
-  missed_ = 0;
-  searching_ = false;
-  if (search_pending_) {
+  life_.missed = 0;
+  life_.searching = false;
+  if (life_.search_pending) {
     resync_times_.push_back(simulator_.now() - search_started_);
-    search_pending_ = false;
+    life_.search_pending = false;
   }
   cycle_known_ = sim::Duration::microseconds(payload->cycle_us);
-  beacon_gts_slots_ = payload->num_slots;
-  beacon_gts_slot_ = sim::Duration::microseconds(payload->slot_us);
-  last_beacon_wire_bytes_ = packet.wire_size();
+  life_.beacon_gts_slots = payload->num_slots;
+  life_.beacon_gts_slot = sim::Duration::microseconds(payload->slot_us);
+  life_.last_beacon_wire_bytes = packet.wire_size();
 
   const auto mine = std::find(payload->slot_owners.begin(),
                               payload->slot_owners.end(), self_);
-  my_gts_ = mine == payload->slot_owners.end()
+  life_.my_gts = mine == payload->slot_owners.end()
                 ? -1
                 : static_cast<int>(mine - payload->slot_owners.begin());
   // A rebooted incarnation re-requests its GTS even if the table still
   // carries it (same rule as the TDMA re-association handshake).
-  if (must_reassociate_) my_gts_ = -1;
+  if (must_reassociate_) life_.my_gts = -1;
 
-  const bool was_synced = synced_;
-  synced_ = true;
+  const bool was_synced = life_.synced;
+  life_.synced = true;
   if (!was_synced) {
     tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                  [](sim::TraceMessage& m) { m << "synced to beacon"; });
   }
-  if (rejoin_pending_) {
+  if (life_.rejoin_pending) {
     rejoin_times_.push_back(simulator_.now() - reboot_at_);
-    rejoin_pending_ = false;
+    life_.rejoin_pending = false;
   }
 
   last_cycle_start_ = rx_time - beacon_air_estimate();
@@ -319,39 +265,40 @@ void CsmaNodeMac::process_beacon(const net::Packet& packet,
 void CsmaNodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   const sim::TimePoint now = simulator_.now();
   cancel_cycle_timers();
-  attempt_active_ = false;
+  life_.attempt_active = false;
 
   if (use_gts_ && config_.gts_slots > 0) {
-    if (my_gts_ >= 0 && my_gts_ < beacon_gts_slots_) {
+    if (life_.my_gts >= 0 && life_.my_gts < life_.beacon_gts_slots) {
       // Contention-free transmission in the owned GTS slot.
       if (!tx_queue_.empty()) {
         const sim::Duration cfp =
-            beacon_gts_slot_ * static_cast<std::int64_t>(beacon_gts_slots_);
+            life_.beacon_gts_slot *
+            static_cast<std::int64_t>(life_.beacon_gts_slots);
         const sim::TimePoint slot_start = cycle_start + cycle_known_ - cfp +
-                                          beacon_gts_slot_ * my_gts_;
+                                          life_.beacon_gts_slot * life_.my_gts;
         if (slot_start > now) {
-          gts_timer_ = os_.timers().start_oneshot(
+          life_.gts_timer = os_.timers().start_oneshot(
               "csma.gts_tx", slot_start - now, [this] {
-                gts_timer_ = os::TimerService::kInvalidTimer;
+                life_.gts_timer = os::TimerService::kInvalidTimer;
                 transmit_gts();
               });
         }
       }
-    } else if (!awaiting_grant_) {
+    } else if (!life_.awaiting_grant) {
       // No slot yet: contend in the CAP for a GTS request.
-      attempt_is_request_ = true;
+      life_.attempt_is_request = true;
       begin_attempt();
     }
-  } else if (!tx_queue_.empty() && !awaiting_ack_) {
-    attempt_is_request_ = false;
+  } else if (!tx_queue_.empty() && !life_.awaiting_ack) {
+    life_.attempt_is_request = false;
     begin_attempt();
   }
 
   const sim::TimePoint wake = cycle_start + cycle_known_ - config_.guard();
   if (wake > now) {
-    wake_timer_ = os_.timers().start_oneshot(
+    life_.wake_timer = os_.timers().start_oneshot(
         "csma.beacon_wake", wake - now, [this] {
-          wake_timer_ = os::TimerService::kInvalidTimer;
+          life_.wake_timer = os::TimerService::kInvalidTimer;
           wake_for_beacon();
         });
   } else {
@@ -367,24 +314,24 @@ void CsmaNodeMac::wake_for_beacon() {
   const sim::Duration guard = config_.guard();
   const sim::Duration timeout =
       guard + guard + beacon_air_estimate() + config_.beacon_timeout_margin;
-  timeout_timer_ = os_.timers().start_oneshot(
+  life_.timeout_timer = os_.timers().start_oneshot(
       "csma.beacon_timeout", timeout, [this] { on_beacon_timeout(); });
 }
 
 void CsmaNodeMac::on_beacon_timeout() {
-  timeout_timer_ = os::TimerService::kInvalidTimer;
+  life_.timeout_timer = os::TimerService::kInvalidTimer;
   if (os_.radio().radio().state() == hw::RadioState::kRxClockOut) {
-    timeout_timer_ = os_.timers().start_oneshot(
+    life_.timeout_timer = os_.timers().start_oneshot(
         "csma.beacon_timeout", sim::Duration::from_microseconds(500),
         [this] { on_beacon_timeout(); });
     return;
   }
 
   ++stats_.beacons_missed;
-  ++missed_;
+  ++life_.missed;
   if (os_.radio().listening()) os_.radio().stop_listen();
 
-  if (missed_ > config_.missed_beacon_limit || cycle_known_.is_zero()) {
+  if (life_.missed > config_.missed_beacon_limit || cycle_known_.is_zero()) {
     enter_search();
     return;
   }
@@ -395,17 +342,17 @@ void CsmaNodeMac::on_beacon_timeout() {
   cap_start_ = last_cycle_start_ + beacon_air_estimate();
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [&](sim::TraceMessage& m) {
-                 m << "beacon missed (" << missed_ << "), dead reckoning";
+                 m << "beacon missed (" << life_.missed << "), dead reckoning";
                });
   schedule_cycle(last_cycle_start_);
 }
 
 void CsmaNodeMac::begin_attempt() {
-  if (crashed_ || attempt_active_) return;
-  if (!attempt_is_request_ && tx_queue_.empty()) return;
-  attempt_active_ = true;
-  nb_ = 0;
-  be_ = config_.min_be;
+  if (crashed_ || life_.attempt_active) return;
+  if (!life_.attempt_is_request && tx_queue_.empty()) return;
+  life_.attempt_active = true;
+  life_.nb = 0;
+  life_.be = config_.min_be;
   next_backoff();
 }
 
@@ -414,7 +361,7 @@ void CsmaNodeMac::next_backoff() {
   // Random delay of 0..2^BE-1 backoff units, aligned up to the next CAP
   // backoff-slot boundary (slotted CSMA/CA).
   const std::int64_t units =
-      rng_.uniform_int(0, (std::int64_t{1} << be_) - 1);
+      rng_.uniform_int(0, (std::int64_t{1} << life_.be) - 1);
   const sim::TimePoint candidate = now + config_.backoff_unit * units;
   sim::TimePoint boundary = candidate;
   const sim::Duration off = candidate - cap_start_;
@@ -426,11 +373,11 @@ void CsmaNodeMac::next_backoff() {
   }
 
   const std::size_t payload_bytes =
-      attempt_is_request_ ? 1 : tx_queue_.front().size();
+      life_.attempt_is_request ? 1 : tx_queue_.front().size();
   if (boundary + config_.cca + tx_air_estimate(payload_bytes) >= cap_end()) {
     // The CAP cannot fit this transmission any more; resume next beacon.
     ++stats_.cap_deferrals;
-    attempt_active_ = false;
+    life_.attempt_active = false;
     if (os_.radio().listening()) os_.radio().stop_listen();
     tracer_.emit(now, sim::TraceCategory::kMac, trace_node_,
                  [](sim::TraceMessage& m) {
@@ -445,16 +392,16 @@ void CsmaNodeMac::next_backoff() {
   if (!os_.radio().listening() && !os_.radio().sending()) {
     os_.radio().start_listen();
   }
-  backoff_timer_ = os_.timers().start_oneshot(
+  life_.backoff_timer = os_.timers().start_oneshot(
       "csma.backoff", boundary - now,
       [this, boundary] {
-        backoff_timer_ = os::TimerService::kInvalidTimer;
+        life_.backoff_timer = os::TimerService::kInvalidTimer;
         on_cca(boundary);
       });
 }
 
 void CsmaNodeMac::on_cca(sim::TimePoint boundary) {
-  if (crashed_ || !attempt_active_) return;
+  if (crashed_ || !life_.attempt_active) return;
   ++stats_.cca_attempts;
   if (os_.radio().radio().channel_busy()) {
     ++stats_.cca_busy;
@@ -462,10 +409,10 @@ void CsmaNodeMac::on_cca(sim::TimePoint boundary) {
     return;
   }
   // The energy-detect window: the medium must stay clear for the full CCA.
-  cca_timer_ = os_.timers().start_oneshot(
+  life_.cca_timer = os_.timers().start_oneshot(
       "csma.cca", config_.cca, [this, boundary] {
-        cca_timer_ = os::TimerService::kInvalidTimer;
-        if (crashed_ || !attempt_active_) return;
+        life_.cca_timer = os::TimerService::kInvalidTimer;
+        if (crashed_ || !life_.attempt_active) return;
         (void)boundary;
         if (os_.radio().radio().channel_busy()) {
           ++stats_.cca_busy;
@@ -477,20 +424,20 @@ void CsmaNodeMac::on_cca(sim::TimePoint boundary) {
 }
 
 void CsmaNodeMac::escalate_backoff() {
-  ++nb_;
-  be_ = std::min<std::uint8_t>(static_cast<std::uint8_t>(be_ + 1),
+  ++life_.nb;
+  life_.be = std::min<std::uint8_t>(static_cast<std::uint8_t>(life_.be + 1),
                                config_.max_be);
-  if (nb_ > config_.max_backoffs) {
+  if (life_.nb > config_.max_backoffs) {
     // Channel-access failure.  The payload keeps its place at the head of
     // the queue but burns one retry; the next superframe gets a fresh NB.
     ++stats_.cca_failures;
-    attempt_active_ = false;
+    life_.attempt_active = false;
     if (os_.radio().listening()) os_.radio().stop_listen();
-    if (!attempt_is_request_) {
-      if (++retries_ > config_.max_retries) {
+    if (!life_.attempt_is_request) {
+      if (++life_.retries > config_.max_retries) {
         if (!tx_queue_.empty()) tx_queue_.pop_front();
         ++stats_.retry_drops;
-        retries_ = 0;
+        life_.retries = 0;
       }
     }
     tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
@@ -504,12 +451,12 @@ void CsmaNodeMac::escalate_backoff() {
 
 void CsmaNodeMac::transmit_head() {
   if (os_.radio().listening()) os_.radio().stop_listen();
-  if (attempt_is_request_) {
+  if (life_.attempt_is_request) {
     send_gts_request();
     return;
   }
   if (tx_queue_.empty()) {
-    attempt_active_ = false;
+    life_.attempt_active = false;
     return;
   }
   std::vector<std::uint8_t> payload = tx_queue_.front();
@@ -525,26 +472,26 @@ void CsmaNodeMac::transmit_head() {
         data.header.dest = bs_address_;
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
-        data.header.seq = data_seq_++;
+        data.header.seq = life_.data_seq++;
         data.payload = payload;
         ++stats_.data_sent;
-        if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
+        if (config_.ack_data && life_.retries > 0) ++stats_.retransmissions;
         tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                      [&](sim::TraceMessage& m) {
                        m << "CAP data tx len=" << data.payload.size();
                      });
         os_.radio().send(data, [this] {
-          attempt_active_ = false;
+          life_.attempt_active = false;
           if (!config_.ack_data) {
-            if (!tx_queue_.empty() && synced_) {
-              attempt_is_request_ = false;
+            if (!tx_queue_.empty() && life_.synced) {
+              life_.attempt_is_request = false;
               begin_attempt();
             }
             return;
           }
-          awaiting_ack_ = true;
+          life_.awaiting_ack = true;
           os_.radio().start_listen();
-          ack_timer_ = os_.timers().start_oneshot(
+          life_.ack_timer = os_.timers().start_oneshot(
               "csma.ack_timeout", config_.ack_wait,
               [this] { on_ack_timeout(); });
         });
@@ -552,7 +499,7 @@ void CsmaNodeMac::transmit_head() {
 }
 
 void CsmaNodeMac::transmit_gts() {
-  if (crashed_ || tx_queue_.empty() || my_gts_ < 0) return;
+  if (crashed_ || tx_queue_.empty() || life_.my_gts < 0) return;
   std::vector<std::uint8_t> payload = tx_queue_.front();
   if (!config_.ack_data) tx_queue_.pop_front();
 
@@ -566,21 +513,21 @@ void CsmaNodeMac::transmit_gts() {
         data.header.dest = bs_address_;
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
-        data.header.seq = data_seq_++;
+        data.header.seq = life_.data_seq++;
         data.payload = payload;
         ++stats_.data_sent;
         ++stats_.gts_tx;
-        if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
+        if (config_.ack_data && life_.retries > 0) ++stats_.retransmissions;
         tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                      [&](sim::TraceMessage& m) {
-                       m << "GTS data tx slot=" << my_gts_
+                       m << "GTS data tx slot=" << life_.my_gts
                          << " len=" << data.payload.size();
                      });
         os_.radio().send(data, [this] {
           if (!config_.ack_data) return;
-          awaiting_ack_ = true;
+          life_.awaiting_ack = true;
           os_.radio().start_listen();
-          ack_timer_ = os_.timers().start_oneshot(
+          life_.ack_timer = os_.timers().start_oneshot(
               "csma.ack_timeout", config_.ack_wait,
               [this] { on_ack_timeout(); });
         });
@@ -595,7 +542,7 @@ void CsmaNodeMac::send_gts_request() {
     req.header.dest = bs_address_;
     req.header.src = self_;
     req.header.type = net::PacketType::kSlotRequest;
-    req.header.seq = data_seq_++;
+    req.header.seq = life_.data_seq++;
     req.payload = {0xFF};  // any free GTS slot
     ++stats_.gts_requests_sent;
     // This request is the re-association handshake after a reboot.
@@ -603,15 +550,15 @@ void CsmaNodeMac::send_gts_request() {
     tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                  [](sim::TraceMessage& m) { m << "GTS request"; });
     os_.radio().send(req, [this] {
-      attempt_active_ = false;
+      life_.attempt_active = false;
       // Catch the immediate grant the base station answers with.
-      awaiting_grant_ = true;
+      life_.awaiting_grant = true;
       os_.radio().start_listen();
-      grant_timer_ = os_.timers().start_oneshot(
+      life_.grant_timer = os_.timers().start_oneshot(
           "csma.grant_wait", config_.ack_wait, [this] {
-            grant_timer_ = os::TimerService::kInvalidTimer;
-            if (!awaiting_grant_) return;
-            awaiting_grant_ = false;
+            life_.grant_timer = os::TimerService::kInvalidTimer;
+            if (!life_.awaiting_grant) return;
+            life_.awaiting_grant = false;
             if (os_.radio().listening() &&
                 os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
               os_.radio().stop_listen();
@@ -625,27 +572,27 @@ void CsmaNodeMac::process_grant(const net::Packet& packet) {
   const auto grant = net::SlotGrantPayload::deserialize(packet.payload);
   if (!grant) return;
   ++stats_.grants_received;
-  awaiting_grant_ = false;
-  stop_timer(grant_timer_);
+  life_.awaiting_grant = false;
+  stop_timer(life_.grant_timer);
   if (os_.radio().listening()) os_.radio().stop_listen();
-  my_gts_ = grant->slot_index;
+  life_.my_gts = grant->slot_index;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [&](sim::TraceMessage& m) {
-                 m << "GTS grant: slot " << my_gts_;
+                 m << "GTS grant: slot " << life_.my_gts;
                });
   // The granted slot lies in this superframe's CFP — use it right away if
   // the beacon already announced a CFP geometry that covers it.
-  if (!tx_queue_.empty() && my_gts_ < beacon_gts_slots_ &&
-      gts_timer_ == os::TimerService::kInvalidTimer) {
-    const sim::Duration cfp =
-        beacon_gts_slot_ * static_cast<std::int64_t>(beacon_gts_slots_);
+  if (!tx_queue_.empty() && life_.my_gts < life_.beacon_gts_slots &&
+      life_.gts_timer == os::TimerService::kInvalidTimer) {
+    const sim::Duration cfp = life_.beacon_gts_slot *
+                              static_cast<std::int64_t>(life_.beacon_gts_slots);
     const sim::TimePoint slot_start = last_cycle_start_ + cycle_known_ - cfp +
-                                      beacon_gts_slot_ * my_gts_;
+                                      life_.beacon_gts_slot * life_.my_gts;
     const sim::TimePoint now = simulator_.now();
     if (slot_start > now) {
-      gts_timer_ = os_.timers().start_oneshot(
+      life_.gts_timer = os_.timers().start_oneshot(
           "csma.gts_tx", slot_start - now, [this] {
-            gts_timer_ = os::TimerService::kInvalidTimer;
+            life_.gts_timer = os::TimerService::kInvalidTimer;
             transmit_gts();
           });
     }
@@ -653,37 +600,39 @@ void CsmaNodeMac::process_grant(const net::Packet& packet) {
 }
 
 void CsmaNodeMac::process_ack(const net::Packet&) {
-  if (!awaiting_ack_) return;
-  awaiting_ack_ = false;
+  if (!life_.awaiting_ack) return;
+  life_.awaiting_ack = false;
   ++stats_.acks_received;
-  stop_timer(ack_timer_);
+  stop_timer(life_.ack_timer);
   if (os_.radio().listening()) os_.radio().stop_listen();
   if (!tx_queue_.empty()) tx_queue_.pop_front();
-  retries_ = 0;
+  life_.retries = 0;
   // More to say and CAP time (maybe) left: contend again; the fit check in
   // next_backoff() defers to the next superframe when the CAP is spent.
-  if (!use_gts_ && !tx_queue_.empty() && synced_ && !attempt_active_) {
-    attempt_is_request_ = false;
+  if (!use_gts_ && !tx_queue_.empty() && life_.synced &&
+      !life_.attempt_active) {
+    life_.attempt_is_request = false;
     begin_attempt();
   }
 }
 
 void CsmaNodeMac::on_ack_timeout() {
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  if (!awaiting_ack_) return;
-  awaiting_ack_ = false;
+  life_.ack_timer = os::TimerService::kInvalidTimer;
+  if (!life_.awaiting_ack) return;
+  life_.awaiting_ack = false;
   if (os_.radio().listening() &&
       os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
     os_.radio().stop_listen();
   }
-  if (++retries_ > config_.max_retries) {
+  if (++life_.retries > config_.max_retries) {
     if (!tx_queue_.empty()) tx_queue_.pop_front();
     ++stats_.retry_drops;
-    retries_ = 0;
+    life_.retries = 0;
   }
   // Retransmission restarts CSMA/CA from scratch (fresh NB and BE).
-  if (!use_gts_ && !tx_queue_.empty() && synced_ && !attempt_active_) {
-    attempt_is_request_ = false;
+  if (!use_gts_ && !tx_queue_.empty() && life_.synced &&
+      !life_.attempt_active) {
+    life_.attempt_is_request = false;
     begin_attempt();
   }
 }
@@ -699,14 +648,6 @@ CsmaBaseStationMac::CsmaBaseStationMac(sim::SimContext& context,
       CsmaConfig::bs_address(config_.pan_id));
   os_.radio().set_receive_handler(
       [this](const net::Packet& p) { on_packet(p); });
-}
-
-void CsmaBaseStationMac::reset_for_reuse() {
-  gts_owners_.assign(config_.gts_slots, kFreeSlot);
-  sources_heard_.clear();
-  beacon_seq_ = 0;
-  next_cycle_at_ = sim::TimePoint{};
-  stats_ = CsmaBaseStationStats{};
 }
 
 void CsmaBaseStationMac::start() {

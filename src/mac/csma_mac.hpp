@@ -124,7 +124,7 @@ class CsmaNodeMac final : public NodeMacBase {
 
   void start() override;
   void queue_payload(std::vector<std::uint8_t> payload) override;
-  [[nodiscard]] bool joined() const override { return synced_; }
+  [[nodiscard]] bool joined() const override { return life_.synced; }
   [[nodiscard]] std::size_t queue_depth() const override {
     return tx_queue_.size();
   }
@@ -134,7 +134,6 @@ class CsmaNodeMac final : public NodeMacBase {
   void crash() override;
   void reboot() override;
   [[nodiscard]] bool crashed() const override { return crashed_; }
-  void reset_for_reuse(sim::Rng rng) override;
   [[nodiscard]] Protocol protocol() const override { return Protocol::kCsmaCa; }
   [[nodiscard]] MacStatsSnapshot stats_snapshot() const override;
   [[nodiscard]] const std::vector<sim::Duration>& resync_times() const override {
@@ -145,7 +144,7 @@ class CsmaNodeMac final : public NodeMacBase {
   }
 
   [[nodiscard]] const CsmaNodeStats& stats() const { return stats_; }
-  [[nodiscard]] int gts_slot_index() const { return my_gts_; }
+  [[nodiscard]] int gts_slot_index() const { return life_.my_gts; }
   [[nodiscard]] bool uses_gts() const { return use_gts_; }
 
  private:
@@ -195,36 +194,43 @@ class CsmaNodeMac final : public NodeMacBase {
 
   net::NodeId bs_address_;
   std::deque<std::vector<std::uint8_t>> tx_queue_;
-  std::uint8_t data_seq_{0};
 
-  bool synced_{false};
-  bool searching_{true};
   sim::Duration cycle_known_{sim::Duration::zero()};  ///< from the last beacon
   sim::TimePoint last_cycle_start_;
   sim::TimePoint cap_start_;       ///< first backoff boundary this superframe
-  std::size_t last_beacon_wire_bytes_{0};
-  std::uint8_t missed_{0};
-  /// GTS geometry as announced by the last beacon.
-  std::uint8_t beacon_gts_slots_{0};
-  sim::Duration beacon_gts_slot_{sim::Duration::zero()};
-  int my_gts_{-1};
 
-  // One CSMA/CA attempt in flight at a time.
-  bool attempt_active_{false};
-  bool attempt_is_request_{false};  ///< attempt carries the GTS request
-  std::uint8_t nb_{0};
-  std::uint8_t be_{0};
-  std::uint8_t retries_{0};
-  bool awaiting_ack_{false};
-  bool awaiting_grant_{false};
-
-  os::TimerService::TimerId wake_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId timeout_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId backoff_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId cca_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId ack_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId grant_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId gts_timer_{os::TimerService::kInvalidTimer};
+  /// Per-life state: everything crash() forgets.  The defaults are the
+  /// values after a crash, so crash() is teardown plus `life_ = {}`; the
+  /// constructor alone starts with `searching` set.
+  struct Life {
+    std::uint8_t data_seq{0};
+    bool synced{false};
+    bool searching{false};
+    std::size_t last_beacon_wire_bytes{0};
+    std::uint8_t missed{0};
+    /// GTS geometry as announced by the last beacon.
+    std::uint8_t beacon_gts_slots{0};
+    sim::Duration beacon_gts_slot{sim::Duration::zero()};
+    int my_gts{-1};
+    // One CSMA/CA attempt in flight at a time.
+    bool attempt_active{false};
+    bool attempt_is_request{false};  ///< attempt carries the GTS request
+    std::uint8_t nb{0};
+    std::uint8_t be{0};
+    std::uint8_t retries{0};
+    bool awaiting_ack{false};
+    bool awaiting_grant{false};
+    os::TimerService::TimerId wake_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId timeout_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId backoff_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId cca_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId ack_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId grant_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId gts_timer{os::TimerService::kInvalidTimer};
+    bool search_pending{false};
+    bool rejoin_pending{false};
+  };
+  Life life_;
 
   /// Boot-epoch guard, exactly the NodeMac pattern: posted closures capture
   /// the epoch and no-op if a crash bumped it since.
@@ -232,9 +238,7 @@ class CsmaNodeMac final : public NodeMacBase {
   bool must_reassociate_{false};
   bool crashed_{false};
   sim::TimePoint search_started_{};
-  bool search_pending_{false};
   sim::TimePoint reboot_at_{};
-  bool rejoin_pending_{false};
   std::vector<sim::Duration> resync_times_;
   std::vector<sim::Duration> rejoin_times_;
   CsmaNodeStats stats_;
@@ -259,7 +263,6 @@ class CsmaBaseStationMac final : public BaseStationMacBase {
   void set_data_handler(DataHandler handler) override {
     data_handler_ = std::move(handler);
   }
-  void reset_for_reuse() override;
   [[nodiscard]] std::size_t joined_nodes() const override {
     return sources_heard_.size();
   }

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace bansim::mac {
@@ -93,15 +92,6 @@ class NodeMacBase {
   virtual void reboot() = 0;
   [[nodiscard]] virtual bool crashed() const = 0;
 
-  /// Run-reset hook of the cell reuse protocol (DESIGN.md "Run reset
-  /// protocol"): restores every run-mutable member to its constructed
-  /// value — unlike reboot(), which models a fault and keeps latency
-  /// samples, stats and the boot epoch.  `rng` is this node's freshly
-  /// derived per-protocol stream for the new run's seed; the caller has
-  /// already cleared the event queue and reset OS + board underneath.
-  /// start() may be called again afterwards, exactly once.
-  virtual void reset_for_reuse(sim::Rng rng) = 0;
-
   [[nodiscard]] virtual Protocol protocol() const = 0;
   [[nodiscard]] virtual MacStatsSnapshot stats_snapshot() const = 0;
 
@@ -130,10 +120,6 @@ class BaseStationMacBase {
 
   virtual void start() = 0;
   virtual void set_data_handler(DataHandler handler) = 0;
-
-  /// Run-reset (see NodeMacBase::reset_for_reuse).  The data handler
-  /// survives — it is the owner's wiring, not run state.
-  virtual void reset_for_reuse() = 0;
 
   /// Nodes currently associated.  Contention protocols with no explicit
   /// association report the number of distinct sources heard from.

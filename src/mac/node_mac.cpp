@@ -60,18 +60,18 @@ void NodeMac::stop_timer(os::TimerService::TimerId& id) {
 }
 
 void NodeMac::cancel_cycle_timers() {
-  stop_timer(slot_timer_);
-  stop_timer(wake_timer_);
+  stop_timer(life_.slot_timer);
+  stop_timer(life_.wake_timer);
 }
 
 void NodeMac::cancel_all_timers() {
   cancel_cycle_timers();
-  stop_timer(timeout_timer_);
-  stop_timer(grant_timer_);
-  stop_timer(ack_timer_);
-  stop_timer(ssr_timer_);
-  stop_timer(powerup_timer_);
-  stop_timer(search_timer_);
+  stop_timer(life_.timeout_timer);
+  stop_timer(life_.grant_timer);
+  stop_timer(life_.ack_timer);
+  stop_timer(life_.ssr_timer);
+  stop_timer(life_.powerup_timer);
+  stop_timer(life_.search_timer);
 }
 
 void NodeMac::crash() {
@@ -83,19 +83,8 @@ void NodeMac::crash() {
   ++boot_epoch_;
   cancel_all_timers();
   tx_queue_.clear();
-  state_ = NodeMacState::kBooting;
-  my_slot_ = -1;
-  missed_ = 0;
-  cycle_ = sim::Duration::zero();
-  slot_width_ = sim::Duration::zero();
   owners_.clear();
-  last_beacon_wire_bytes_ = 0;
-  retries_ = 0;
-  awaiting_ack_ = false;
-  data_seq_ = 0;
-  search_backoff_level_ = 0;
-  search_pending_ = false;
-  rejoin_pending_ = false;
+  life_ = {};
   // The driver forgets its in-flight send; the chip is cut mid-state (a
   // forced power-down is legal from anywhere and drops any latched frame).
   os_.radio().reset();
@@ -110,45 +99,10 @@ void NodeMac::reboot() {
   ++stats_.reboots;
   must_reassociate_ = true;
   reboot_at_ = simulator_.now();
-  rejoin_pending_ = true;
+  life_.rejoin_pending = true;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [](sim::TraceMessage& m) { m << "reboot: cold start"; });
   start();
-}
-
-void NodeMac::reset_for_reuse(sim::Rng rng) {
-  rng_ = rng;
-  state_ = NodeMacState::kBooting;
-  tx_queue_.clear();
-  data_seq_ = 0;
-  cycle_ = sim::Duration::zero();
-  slot_width_ = sim::Duration::zero();
-  owners_.clear();
-  my_slot_ = -1;
-  last_cycle_start_ = sim::TimePoint{};
-  last_beacon_wire_bytes_ = 0;
-  missed_ = 0;
-  timeout_timer_ = os::TimerService::kInvalidTimer;
-  grant_timer_ = os::TimerService::kInvalidTimer;
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  slot_timer_ = os::TimerService::kInvalidTimer;
-  wake_timer_ = os::TimerService::kInvalidTimer;
-  ssr_timer_ = os::TimerService::kInvalidTimer;
-  powerup_timer_ = os::TimerService::kInvalidTimer;
-  search_timer_ = os::TimerService::kInvalidTimer;
-  retries_ = 0;
-  awaiting_ack_ = false;
-  boot_epoch_ = 0;
-  must_reassociate_ = false;
-  crashed_ = false;
-  search_backoff_level_ = 0;
-  search_started_ = sim::TimePoint{};
-  search_pending_ = false;
-  reboot_at_ = sim::TimePoint{};
-  rejoin_pending_ = false;
-  resync_times_.clear();
-  rejoin_times_.clear();
-  stats_ = NodeMacStats{};
 }
 
 void NodeMac::queue_payload(std::vector<std::uint8_t> payload) {
@@ -168,14 +122,14 @@ void NodeMac::queue_payload(std::vector<std::uint8_t> payload) {
 }
 
 void NodeMac::enter_search() {
-  state_ = NodeMacState::kSearching;
+  life_.state = NodeMacState::kSearching;
   ++stats_.resyncs;
-  missed_ = 0;
-  my_slot_ = -1;
+  life_.missed = 0;
+  life_.my_slot = -1;
   cancel_cycle_timers();
-  stop_timer(timeout_timer_);
+  stop_timer(life_.timeout_timer);
   search_started_ = simulator_.now();
-  search_pending_ = true;
+  life_.search_pending = true;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [](sim::TraceMessage& m) { m << "searching for beacon"; });
   if (config_.search_listen.is_zero()) {
@@ -183,7 +137,7 @@ void NodeMac::enter_search() {
     if (!os_.radio().listening()) os_.radio().start_listen();
     return;
   }
-  search_backoff_level_ = 0;
+  life_.search_backoff_level = 0;
   begin_search_listen();
 }
 
@@ -191,17 +145,17 @@ void NodeMac::begin_search_listen() {
   if (!os_.radio().listening() && !os_.radio().sending()) {
     os_.radio().start_listen();
   }
-  search_timer_ = os_.timers().start_oneshot(
+  life_.search_timer = os_.timers().start_oneshot(
       "mac.search_window", config_.search_listen,
       [this] { on_search_window_elapsed(); });
 }
 
 void NodeMac::on_search_window_elapsed() {
-  search_timer_ = os::TimerService::kInvalidTimer;
-  if (state_ != NodeMacState::kSearching) return;
+  life_.search_timer = os::TimerService::kInvalidTimer;
+  if (life_.state != NodeMacState::kSearching) return;
   if (os_.radio().radio().state() == hw::RadioState::kRxClockOut) {
     // A frame (maybe our beacon) is clocking out right now; let it finish.
-    search_timer_ = os_.timers().start_oneshot(
+    life_.search_timer = os_.timers().start_oneshot(
         "mac.search_window", sim::Duration::from_microseconds(500),
         [this] { on_search_window_elapsed(); });
     return;
@@ -213,27 +167,27 @@ void NodeMac::on_search_window_elapsed() {
   os_.radio().radio().power_down();
   ++stats_.search_power_cycles;
   sim::Duration backoff = config_.search_backoff_base;
-  for (std::uint32_t i = 0; i < search_backoff_level_; ++i) {
+  for (std::uint32_t i = 0; i < life_.search_backoff_level; ++i) {
     backoff = backoff.scaled(config_.search_backoff_factor);
     if (backoff >= config_.search_backoff_max) break;
   }
   if (backoff > config_.search_backoff_max) backoff = config_.search_backoff_max;
-  ++search_backoff_level_;
+  ++life_.search_backoff_level;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [&](sim::TraceMessage& m) {
                  m << "search window empty, backoff " << backoff;
                });
-  search_timer_ = os_.timers().start_oneshot(
+  life_.search_timer = os_.timers().start_oneshot(
       "mac.search_backoff", backoff, [this] {
-        search_timer_ = os::TimerService::kInvalidTimer;
-        if (state_ != NodeMacState::kSearching) return;
+        life_.search_timer = os::TimerService::kInvalidTimer;
+        if (life_.state != NodeMacState::kSearching) return;
         begin_search_listen();  // start_listen re-powers the radio if needed
       });
 }
 
 sim::Duration NodeMac::beacon_air_estimate() const {
-  const std::size_t bytes = last_beacon_wire_bytes_ != 0
-                                ? last_beacon_wire_bytes_
+  const std::size_t bytes = life_.last_beacon_wire_bytes != 0
+                                ? life_.last_beacon_wire_bytes
                                 : net::kHeaderBytes + 12 + net::kCrcBytes;
   return phy::air_time(os_.radio().radio().phy_config(), bytes);
 }
@@ -263,8 +217,8 @@ void NodeMac::on_packet(const net::Packet& packet) {
   const sim::TimePoint rx_time = simulator_.now();
 
   // The beacon is in hand: the receiver's job this cycle is done.
-  stop_timer(timeout_timer_);
-  stop_timer(search_timer_);
+  stop_timer(life_.timeout_timer);
+  stop_timer(life_.search_timer);
   if (os_.radio().listening()) os_.radio().stop_listen();
 
   const std::uint64_t cycles =
@@ -284,42 +238,42 @@ void NodeMac::process_beacon(const net::Packet& packet,
   if (!payload) return;
 
   ++stats_.beacons_received;
-  missed_ = 0;
-  search_backoff_level_ = 0;
-  if (search_pending_) {
+  life_.missed = 0;
+  life_.search_backoff_level = 0;
+  if (life_.search_pending) {
     resync_times_.push_back(simulator_.now() - search_started_);
-    search_pending_ = false;
+    life_.search_pending = false;
   }
-  cycle_ = sim::Duration::microseconds(payload->cycle_us);
-  slot_width_ = sim::Duration::microseconds(payload->slot_us);
+  life_.cycle = sim::Duration::microseconds(payload->cycle_us);
+  life_.slot_width = sim::Duration::microseconds(payload->slot_us);
   owners_ = payload->slot_owners;
-  last_beacon_wire_bytes_ = packet.wire_size();
+  life_.last_beacon_wire_bytes = packet.wire_size();
 
   const auto mine = std::find(owners_.begin(), owners_.end(), self_);
-  my_slot_ = mine == owners_.end()
+  life_.my_slot = mine == owners_.end()
                  ? -1
                  : static_cast<int>(mine - owners_.begin());
   // After a reboot the table may still carry the pre-crash slot, but the
   // base station has not heard from this incarnation: re-associate
   // explicitly instead of silently resuming a grant that may be reclaimed
   // mid-cycle.  The flag clears once our own SSR is on the air.
-  if (must_reassociate_) my_slot_ = -1;
+  if (must_reassociate_) life_.my_slot = -1;
 
-  const NodeMacState before = state_;
-  state_ = my_slot_ >= 0 ? NodeMacState::kJoined
-                         : (state_ == NodeMacState::kJoined
+  const NodeMacState before = life_.state;
+  life_.state = life_.my_slot >= 0 ? NodeMacState::kJoined
+                         : (life_.state == NodeMacState::kJoined
                                 ? NodeMacState::kSearching
-                                : state_);
-  if (state_ != before) {
+                                : life_.state);
+  if (life_.state != before) {
     tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                  [&](sim::TraceMessage& m) {
                    m << "state " << to_string(before) << " -> "
-                     << to_string(state_);
+                     << to_string(life_.state);
                  });
   }
-  if (state_ == NodeMacState::kJoined && rejoin_pending_) {
+  if (life_.state == NodeMacState::kJoined && life_.rejoin_pending) {
     rejoin_times_.push_back(simulator_.now() - reboot_at_);
-    rejoin_pending_ = false;
+    life_.rejoin_pending = false;
   }
 
   // Anchor the cycle at the instant the beacon's first bit hit the air.
@@ -346,21 +300,21 @@ void NodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   const bool layout_may_shift =
       config_.variant == TdmaVariant::kDynamic ||
       config_.reclaim_after_cycles > 0;
-  const bool stale_layout = missed_ > 0 && layout_may_shift;
-  if (stale_layout && my_slot_ >= 0 && !tx_queue_.empty()) {
+  const bool stale_layout = life_.missed > 0 && layout_may_shift;
+  if (stale_layout && life_.my_slot >= 0 && !tx_queue_.empty()) {
     ++stats_.slot_tx_deferred;
     tracer_.emit(now, sim::TraceCategory::kMac, trace_node_,
                  [](sim::TraceMessage& m) {
                    m << "slot tx deferred (dead-reckoned layout)";
                  });
   }
-  if (my_slot_ >= 0 && !tx_queue_.empty() && !stale_layout) {
+  if (life_.my_slot >= 0 && !tx_queue_.empty() && !stale_layout) {
     const sim::TimePoint slot_start =
-        cycle_start + slot_width_ * (1 + my_slot_);
+        cycle_start + life_.slot_width * (1 + life_.my_slot);
     if (slot_start > now) {
-      slot_timer_ = os_.timers().start_oneshot(
+      life_.slot_timer = os_.timers().start_oneshot(
           "mac.slot_tx", slot_start - now, [this] {
-            slot_timer_ = os::TimerService::kInvalidTimer;
+            life_.slot_timer = os::TimerService::kInvalidTimer;
             transmit_queued();
           });
       earliest_radio_use = std::min(earliest_radio_use, slot_start);
@@ -368,20 +322,20 @@ void NodeMac::schedule_cycle(sim::TimePoint cycle_start) {
   }
 
   // 2. Slot request when we are not (yet) in the table.
-  if (my_slot_ < 0 && (state_ == NodeMacState::kSearching ||
-                       state_ == NodeMacState::kJoining)) {
+  if (life_.my_slot < 0 && (life_.state == NodeMacState::kSearching ||
+                       life_.state == NodeMacState::kJoining)) {
     send_slot_request(cycle_start);
     earliest_radio_use = now;  // SSR timing is internal; skip power-down
   }
 
   // 3. Next beacon wake-up, guard time ahead of the expectation.
-  const sim::TimePoint expected_next = cycle_start + cycle_;
-  const sim::Duration guard = config_.guard(cycle_);
+  const sim::TimePoint expected_next = cycle_start + life_.cycle;
+  const sim::Duration guard = config_.guard(life_.cycle);
   const sim::TimePoint wake = expected_next - guard;
   if (wake > now) {
-    wake_timer_ = os_.timers().start_oneshot(
+    life_.wake_timer = os_.timers().start_oneshot(
         "mac.beacon_wake", wake - now, [this] {
-          wake_timer_ = os::TimerService::kInvalidTimer;
+          life_.wake_timer = os::TimerService::kInvalidTimer;
           wake_for_beacon();
         });
     earliest_radio_use = std::min(earliest_radio_use, wake);
@@ -407,10 +361,10 @@ void NodeMac::plan_power_down(sim::TimePoint next_use) {
   if (next_use - now <= lead + config_.power_up_margin) return;
 
   radio.power_down();
-  stop_timer(powerup_timer_);  // stale wake-up from a superseded plan
-  powerup_timer_ = os_.timers().start_oneshot(
+  stop_timer(life_.powerup_timer);  // stale wake-up from a superseded plan
+  life_.powerup_timer = os_.timers().start_oneshot(
       "mac.radio_powerup", (next_use - now) - lead, [this] {
-        powerup_timer_ = os::TimerService::kInvalidTimer;
+        life_.powerup_timer = os::TimerService::kInvalidTimer;
         auto& r = os_.radio().radio();
         if (r.state() == hw::RadioState::kPowerDown) {
           r.power_up();
@@ -442,9 +396,9 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
     wanted = free_slots[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(free_slots.size()) - 1))];
     const sim::TimePoint slot_start =
-        cycle_start + slot_width_ * (1 + wanted);
+        cycle_start + life_.slot_width * (1 + wanted);
     const double span =
-        (slot_width_ - tx_window).to_seconds();
+        (life_.slot_width - tx_window).to_seconds();
     ssr_at = slot_start +
              sim::Duration::from_seconds(rng_.uniform(0.0, std::max(0.0, span)));
   } else {
@@ -452,7 +406,7 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
     const sim::TimePoint es_start =
         cycle_start + beacon_air_estimate() +
         sim::Duration::from_microseconds(200);
-    const sim::TimePoint es_end = cycle_start + slot_width_;
+    const sim::TimePoint es_end = cycle_start + life_.slot_width;
     const double span = (es_end - es_start - tx_window).to_seconds();
     if (span <= 0) return;
     ssr_at = es_start + sim::Duration::from_seconds(rng_.uniform(0.0, span));
@@ -460,10 +414,10 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
 
   if (ssr_at <= now) return;  // window already passed this cycle
 
-  state_ = NodeMacState::kJoining;
-  stop_timer(ssr_timer_);  // one pending request at a time
-  ssr_timer_ = os_.timers().start_oneshot("mac.ssr", ssr_at - now, [this, wanted] {
-    ssr_timer_ = os::TimerService::kInvalidTimer;
+  life_.state = NodeMacState::kJoining;
+  stop_timer(life_.ssr_timer);  // one pending request at a time
+  life_.ssr_timer = os_.timers().start_oneshot("mac.ssr", ssr_at - now, [this, wanted] {
+    life_.ssr_timer = os::TimerService::kInvalidTimer;
     os_.scheduler().post("mac.join", 500, [this, wanted, epoch = boot_epoch_] {
       if (epoch != boot_epoch_) return;
       if (os_.radio().sending() || os_.radio().listening()) return;
@@ -471,7 +425,7 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
       req.header.dest = bs_address_;
       req.header.src = self_;
       req.header.type = net::PacketType::kSlotRequest;
-      req.header.seq = data_seq_++;
+      req.header.seq = life_.data_seq++;
       req.payload = {wanted};
       ++stats_.slot_requests_sent;
       // The re-association handshake is this SSR: once it is on the air the
@@ -487,9 +441,9 @@ void NodeMac::send_slot_request(sim::TimePoint cycle_start) {
         // Keep the receiver open briefly: the base station answers an
         // accepted request with a directed SlotGrant right away.
         os_.radio().start_listen();
-        grant_timer_ = os_.timers().start_oneshot(
+        life_.grant_timer = os_.timers().start_oneshot(
             "mac.grant_timeout", config_.grant_wait, [this] {
-              grant_timer_ = os::TimerService::kInvalidTimer;
+              life_.grant_timer = os::TimerService::kInvalidTimer;
               if (os_.radio().listening() &&
                   os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
                 os_.radio().stop_listen();
@@ -504,35 +458,36 @@ void NodeMac::process_grant(const net::Packet& packet) {
   const auto grant = net::SlotGrantPayload::deserialize(packet.payload);
   if (!grant) return;
   ++stats_.grants_received;
-  if (grant_timer_ != os::TimerService::kInvalidTimer) {
-    os_.timers().stop(grant_timer_);
-    grant_timer_ = os::TimerService::kInvalidTimer;
+  if (life_.grant_timer != os::TimerService::kInvalidTimer) {
+    os_.timers().stop(life_.grant_timer);
+    life_.grant_timer = os::TimerService::kInvalidTimer;
   }
   if (os_.radio().listening()) os_.radio().stop_listen();
 
-  my_slot_ = grant->slot_index;
-  state_ = NodeMacState::kJoined;
-  if (rejoin_pending_) {
+  life_.my_slot = grant->slot_index;
+  life_.state = NodeMacState::kJoined;
+  if (life_.rejoin_pending) {
     rejoin_times_.push_back(simulator_.now() - reboot_at_);
-    rejoin_pending_ = false;
+    life_.rejoin_pending = false;
   }
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [&](sim::TraceMessage& m) {
-                 m << "fast grant: slot " << my_slot_;
+                 m << "fast grant: slot " << life_.my_slot;
                });
 
   // In the static variant the granted slot may still lie ahead inside the
   // current cycle; use it.  (Dynamic grants extend the cycle beyond the
   // in-flight one, so the first transmission waits for the next beacon.)
   if (config_.variant == TdmaVariant::kStatic && !tx_queue_.empty() &&
-      !cycle_.is_zero()) {
+      !life_.cycle.is_zero()) {
     const sim::TimePoint slot_start =
-        last_cycle_start_ + slot_width_ * (1 + my_slot_);
+        last_cycle_start_ + life_.slot_width * (1 + life_.my_slot);
     const sim::TimePoint now = simulator_.now();
-    if (slot_start > now && slot_timer_ == os::TimerService::kInvalidTimer) {
-      slot_timer_ = os_.timers().start_oneshot(
+    if (slot_start > now &&
+        life_.slot_timer == os::TimerService::kInvalidTimer) {
+      life_.slot_timer = os_.timers().start_oneshot(
           "mac.slot_tx", slot_start - now, [this] {
-            slot_timer_ = os::TimerService::kInvalidTimer;
+            life_.slot_timer = os::TimerService::kInvalidTimer;
             transmit_queued();
           });
     }
@@ -540,37 +495,37 @@ void NodeMac::process_grant(const net::Packet& packet) {
 }
 
 void NodeMac::process_ack(const net::Packet&) {
-  if (!awaiting_ack_) return;
-  awaiting_ack_ = false;
+  if (!life_.awaiting_ack) return;
+  life_.awaiting_ack = false;
   ++stats_.acks_received;
-  if (ack_timer_ != os::TimerService::kInvalidTimer) {
-    os_.timers().stop(ack_timer_);
-    ack_timer_ = os::TimerService::kInvalidTimer;
+  if (life_.ack_timer != os::TimerService::kInvalidTimer) {
+    os_.timers().stop(life_.ack_timer);
+    life_.ack_timer = os::TimerService::kInvalidTimer;
   }
   if (os_.radio().listening()) os_.radio().stop_listen();
   // Delivery confirmed: retire the frame at the head of the queue.
   if (!tx_queue_.empty()) tx_queue_.pop_front();
-  retries_ = 0;
+  life_.retries = 0;
 }
 
 void NodeMac::on_ack_timeout() {
-  ack_timer_ = os::TimerService::kInvalidTimer;
-  if (!awaiting_ack_) return;
-  awaiting_ack_ = false;
+  life_.ack_timer = os::TimerService::kInvalidTimer;
+  if (!life_.awaiting_ack) return;
+  life_.awaiting_ack = false;
   if (os_.radio().listening() &&
       os_.radio().radio().state() != hw::RadioState::kRxClockOut) {
     os_.radio().stop_listen();
   }
-  if (++retries_ > config_.max_retries) {
+  if (++life_.retries > config_.max_retries) {
     // Give up on this payload; the next one gets a fresh attempt budget.
     if (!tx_queue_.empty()) tx_queue_.pop_front();
     ++stats_.retry_drops;
-    retries_ = 0;
+    life_.retries = 0;
   }
 }
 
 void NodeMac::transmit_queued() {
-  if (tx_queue_.empty() || my_slot_ < 0) return;
+  if (tx_queue_.empty() || life_.my_slot < 0) return;
   // In ACK mode the payload stays at the head until it is acknowledged
   // (or abandoned); otherwise transmission is fire-and-forget.
   std::vector<std::uint8_t> payload = tx_queue_.front();
@@ -586,66 +541,66 @@ void NodeMac::transmit_queued() {
         data.header.dest = bs_address_;
         data.header.src = self_;
         data.header.type = net::PacketType::kData;
-        data.header.seq = data_seq_++;
+        data.header.seq = life_.data_seq++;
         data.payload = payload;
         ++stats_.data_sent;
-        if (config_.ack_data && retries_ > 0) ++stats_.retransmissions;
+        if (config_.ack_data && life_.retries > 0) ++stats_.retransmissions;
         tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                      [&](sim::TraceMessage& m) {
-                       m << "Si data tx slot=" << my_slot_
+                       m << "Si data tx slot=" << life_.my_slot
                          << " len=" << data.payload.size();
                      });
         os_.radio().send(data, [this] {
           if (!config_.ack_data) return;
           // Hold the receiver open for the in-slot acknowledgement.
-          awaiting_ack_ = true;
+          life_.awaiting_ack = true;
           os_.radio().start_listen();
-          ack_timer_ = os_.timers().start_oneshot(
+          life_.ack_timer = os_.timers().start_oneshot(
               "mac.ack_timeout", config_.ack_wait, [this] { on_ack_timeout(); });
         });
       });
 }
 
 void NodeMac::wake_for_beacon() {
-  if (state_ == NodeMacState::kBooting) return;
+  if (life_.state == NodeMacState::kBooting) return;
   if (!os_.radio().listening() && !os_.radio().sending()) {
     os_.radio().start_listen();
   }
   // Declare the beacon missed if it has not arrived by
   // guard (to the expectation) + guard (symmetric late bound) + air + margin.
-  const sim::Duration guard = config_.guard(cycle_);
+  const sim::Duration guard = config_.guard(life_.cycle);
   const sim::Duration timeout =
       guard + guard + beacon_air_estimate() + config_.beacon_timeout_margin;
-  timeout_timer_ = os_.timers().start_oneshot(
+  life_.timeout_timer = os_.timers().start_oneshot(
       "mac.beacon_timeout", timeout, [this] { on_beacon_timeout(); });
 }
 
 void NodeMac::on_beacon_timeout() {
-  timeout_timer_ = os::TimerService::kInvalidTimer;
+  life_.timeout_timer = os::TimerService::kInvalidTimer;
   if (os_.radio().radio().state() == hw::RadioState::kRxClockOut) {
     // The beacon is being clocked out of the FIFO right now; give it the
     // benefit of the doubt.
-    timeout_timer_ = os_.timers().start_oneshot(
+    life_.timeout_timer = os_.timers().start_oneshot(
         "mac.beacon_timeout", sim::Duration::from_microseconds(500),
         [this] { on_beacon_timeout(); });
     return;
   }
 
   ++stats_.beacons_missed;
-  ++missed_;
+  ++life_.missed;
   if (os_.radio().listening()) os_.radio().stop_listen();
 
-  if (missed_ > config_.missed_beacon_limit || cycle_.is_zero()) {
+  if (life_.missed > config_.missed_beacon_limit || life_.cycle.is_zero()) {
     enter_search();
     return;
   }
 
   // Dead reckoning: assume the beacon fired exactly on schedule and plan
   // the cycle from the expectation.
-  last_cycle_start_ = last_cycle_start_ + cycle_;
+  last_cycle_start_ = last_cycle_start_ + life_.cycle;
   tracer_.emit(simulator_.now(), sim::TraceCategory::kMac, trace_node_,
                [&](sim::TraceMessage& m) {
-                 m << "beacon missed (" << missed_ << "), dead reckoning";
+                 m << "beacon missed (" << life_.missed << "), dead reckoning";
                });
   schedule_cycle(last_cycle_start_);
 }

@@ -75,11 +75,11 @@ class NodeMac final : public NodeMacBase {
   void queue_payload(std::vector<std::uint8_t> payload) override;
 
   [[nodiscard]] bool joined() const override {
-    return state_ == NodeMacState::kJoined;
+    return life_.state == NodeMacState::kJoined;
   }
-  [[nodiscard]] NodeMacState state() const { return state_; }
-  [[nodiscard]] int slot_index() const { return my_slot_; }
-  [[nodiscard]] sim::Duration known_cycle() const { return cycle_; }
+  [[nodiscard]] NodeMacState state() const { return life_.state; }
+  [[nodiscard]] int slot_index() const { return life_.my_slot; }
+  [[nodiscard]] sim::Duration known_cycle() const { return life_.cycle; }
   [[nodiscard]] std::size_t queue_depth() const override {
     return tx_queue_.size();
   }
@@ -112,8 +112,6 @@ class NodeMac final : public NodeMacBase {
   void reboot() override;
 
   [[nodiscard]] bool crashed() const override { return crashed_; }
-
-  void reset_for_reuse(sim::Rng rng) override;
 
   /// Search -> beacon latencies (one entry per completed resync) and
   /// reboot -> joined latencies (one entry per completed rejoin); the raw
@@ -166,30 +164,38 @@ class NodeMac final : public NodeMacBase {
   net::NodeId self_;
   sim::Rng rng_;
 
-  NodeMacState state_{NodeMacState::kBooting};
   std::deque<std::vector<std::uint8_t>> tx_queue_;
-  std::uint8_t data_seq_{0};
   net::NodeId bs_address_;  ///< derived from the configured PAN
 
   // Last known schedule (from the most recent beacon).
-  sim::Duration cycle_{sim::Duration::zero()};
-  sim::Duration slot_width_{sim::Duration::zero()};
   std::vector<net::NodeId> owners_;
-  int my_slot_{-1};
   sim::TimePoint last_cycle_start_;
-  std::size_t last_beacon_wire_bytes_{0};
-  std::uint8_t missed_{0};
 
-  os::TimerService::TimerId timeout_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId grant_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId ack_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId slot_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId wake_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId ssr_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId powerup_timer_{os::TimerService::kInvalidTimer};
-  os::TimerService::TimerId search_timer_{os::TimerService::kInvalidTimer};
-  std::uint8_t retries_{0};         ///< attempts for the frame at queue front
-  bool awaiting_ack_{false};
+  /// Per-life state: everything crash() forgets.  The defaults are the
+  /// values after a crash, so crash() is teardown plus `life_ = {}`.
+  struct Life {
+    NodeMacState state{NodeMacState::kBooting};
+    std::uint8_t data_seq{0};
+    sim::Duration cycle{sim::Duration::zero()};
+    sim::Duration slot_width{sim::Duration::zero()};
+    int my_slot{-1};
+    std::size_t last_beacon_wire_bytes{0};
+    std::uint8_t missed{0};
+    os::TimerService::TimerId timeout_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId grant_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId ack_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId slot_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId wake_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId ssr_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId powerup_timer{os::TimerService::kInvalidTimer};
+    os::TimerService::TimerId search_timer{os::TimerService::kInvalidTimer};
+    std::uint8_t retries{0};  ///< attempts for the frame at queue front
+    bool awaiting_ack{false};
+    std::uint32_t search_backoff_level{0};
+    bool search_pending{false};  ///< a resync-latency sample is open
+    bool rejoin_pending{false};  ///< a rejoin-latency sample is open
+  };
+  Life life_;
 
   /// Crash teardown cannot cancel already-posted scheduler tasks (they sit
   /// in the OS run queue like real RAM-resident task records would survive
@@ -200,11 +206,8 @@ class NodeMac final : public NodeMacBase {
   /// beacon table is ignored until this node's own SSR has gone out.
   bool must_reassociate_{false};
   bool crashed_{false};
-  std::uint32_t search_backoff_level_{0};
   sim::TimePoint search_started_{};
-  bool search_pending_{false};   ///< a resync-latency sample is open
   sim::TimePoint reboot_at_{};
-  bool rejoin_pending_{false};   ///< a rejoin-latency sample is open
   std::vector<sim::Duration> resync_times_;
   std::vector<sim::Duration> rejoin_times_;
   NodeMacStats stats_;

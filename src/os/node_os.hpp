@@ -33,16 +33,6 @@ class NodeOs {
   [[nodiscard]] PowerManager& power() { return power_; }
   [[nodiscard]] const std::string& node_name() const { return board_.name(); }
 
-  /// Run-reset: scheduler queue, timer table and radio driver back to
-  /// boot state.  TimerService::reset restores the only registered power
-  /// constraint, so the power manager needs no separate step.  The board
-  /// is reset by its owner (it is not owned here).
-  void reset() {
-    scheduler_.reset();
-    timers_.reset();
-    radio_driver_.reset();
-  }
-
  private:
   hw::Board& board_;
   PowerManager power_;

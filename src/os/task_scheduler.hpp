@@ -52,15 +52,6 @@ class TaskScheduler {
   [[nodiscard]] std::uint64_t tasks_run() const { return tasks_run_; }
   [[nodiscard]] std::uint64_t interrupts_run() const { return interrupts_run_; }
 
-  /// Run-reset: drops queued work and zeroes the dispatch counters.  The
-  /// in-flight completion event (if any) died with the event queue.
-  void reset() {
-    queue_.clear();
-    running_ = false;
-    tasks_run_ = 0;
-    interrupts_run_ = 0;
-  }
-
  private:
   struct Entry {
     std::string name;

@@ -61,11 +61,6 @@ TimerService::TimerId TimerService::start_oneshot(std::string name,
   return id;
 }
 
-void TimerService::reset() {
-  entries_.clear();
-  power_.update(power_handle_, ClockConstraint::kNone);
-}
-
 void TimerService::stop(TimerId id) {
   if (id >= entries_.size()) return;
   entries_[id].active = false;

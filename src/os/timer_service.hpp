@@ -46,12 +46,6 @@ class TimerService {
   [[nodiscard]] bool active(TimerId id) const;
   [[nodiscard]] std::size_t active_count() const;
 
-  /// Run-reset: every timer (and the ids referring to them) is forgotten
-  /// and the power constraint returns to the ctor-time kNone.  The table's
-  /// capacity survives for the next run.  The hardware compare event died
-  /// with the cleared event queue; the TimerUnit is reset by its board.
-  void reset();
-
   /// Cycle cost charged for servicing one expiry interrupt.
   static constexpr std::uint64_t kServiceCycles = 90;
 

@@ -64,20 +64,6 @@ class Channel {
     rng_ = rng;
   }
 
-  /// Run-reset: clears in-flight frames and the traffic/corruption
-  /// counters.  Attachments, the link matrix, propagation delay and the
-  /// installed error-model *function* survive (the radios stay attached —
-  /// stacks are reused, not rebuilt); the bit-error draw stream is
-  /// replaced by `error_rng`, which the owner re-derives from the run's
-  /// seed exactly as the build path did.
-  void reset(sim::Rng error_rng = sim::Rng{0}) {
-    in_flight_.clear();
-    frames_sent_ = 0;
-    collisions_ = 0;
-    bit_error_drops_ = 0;
-    rng_ = error_rng;
-  }
-
   /// Frames corrupted by the bit-error model (per receiver).
   [[nodiscard]] std::uint64_t bit_error_drops() const { return bit_error_drops_; }
 

@@ -28,10 +28,6 @@ LinkModel::LinkModel(std::vector<BodyPosition> positions,
                      const LinkBudget& budget, std::uint64_t seed)
     : positions_{std::move(positions)}, budget_{budget},
       shadowing_db_(positions_.size() * positions_.size(), 0.0) {
-  reset(seed);
-}
-
-void LinkModel::reset(std::uint64_t seed) {
   // Symmetric, per-link shadowing; draw once per unordered pair so the
   // link is reciprocal.
   const std::size_t n = positions_.size();

@@ -89,12 +89,6 @@ class LinkModel {
 
   [[nodiscard]] const LinkBudget& budget() const { return budget_; }
 
-  /// Run-reset: re-draws the per-link shadowing table for `seed` in place,
-  /// exactly as the constructor would.  Positions and the budget survive;
-  /// callers holding a LinkModel* (the channel's error-model closure, the
-  /// fault injector) stay valid because the object does not move.
-  void reset(std::uint64_t seed);
-
  private:
   std::vector<BodyPosition> positions_;
   LinkBudget budget_;

@@ -36,19 +36,6 @@ class SimContext {
   /// The experiment seed all named streams derive from.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Run-reset: rewinds this context to the state a freshly constructed
-  /// SimContext{seed} would have — clock at zero, event queue empty (slot
-  /// arena kept warm), root RNG re-rooted — while the tracer keeps its
-  /// interned-name table and any attached check hooks stay attached.
-  /// Components that derive named streams lazily pick up the new seed on
-  /// their own reset; see DESIGN.md "Run reset protocol".
-  void reset(std::uint64_t seed) {
-    seed_ = seed;
-    root_rng_ = Rng{seed};
-    simulator.reset();
-    tracer.reset();
-  }
-
   /// The root RNG: draws here are positional (order-dependent), so reserve
   /// it for code that owns the whole context; model components should use
   /// named streams instead.

@@ -20,12 +20,4 @@ void EventQueue::reserve(std::size_t events) {
   }
 }
 
-void EventQueue::clear() {
-  heap_.clear();
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].alive) release_slot(slot);
-  }
-  live_ = 0;
-}
-
 }  // namespace bansim::sim

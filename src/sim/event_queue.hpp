@@ -37,8 +37,7 @@ class EventQueue;
 /// to copy; a default-constructed handle refers to nothing.  A handle must
 /// not outlive the EventQueue that issued it (it holds a non-owning pointer
 /// back to the queue), but it may freely outlive the event itself: once the
-/// event fires, is cancelled, or the queue is cleared, the handle simply
-/// reports !pending().
+/// event fires or is cancelled, the handle simply reports !pending().
 class EventHandle {
  public:
   EventHandle() = default;
@@ -99,22 +98,6 @@ class EventQueue {
   /// grow them incrementally.  Never shrinks.
   void reserve(std::size_t events);
 
-  /// Drops every pending event.  Outstanding handles become !pending().
-  /// The slot arena, free list and heap keep their capacity (a cleared
-  /// queue is "warm": the next run schedules without allocating), and seq_
-  /// keeps counting — rebasing it would let a handle from a previous run
-  /// alias an event of the next run that landed in the same slot.
-  void clear();
-
-  /// Test seam for the seq wraparound path: forces the next stamp so a
-  /// test can park seq_ near 2^64 and drive schedule/pop across the wrap
-  /// without actually scheduling 2^64 events.  Precondition: the queue is
-  /// empty (live entries stamped before the jump would order incorrectly).
-  void set_next_seq_for_test(std::uint64_t seq) {
-    assert(live_ == 0 && "seq jump with live events would corrupt ordering");
-    seq_ = seq;
-  }
-
  private:
   friend class EventHandle;
 
@@ -135,17 +118,12 @@ class EventQueue {
                 "heap sifts must stay trivial copies");
 
   /// std::push_heap/pop_heap comparator: max-heap on "later", so the
-  /// earliest (when, seq) is at the front.  The tie-break compares sequence
-  /// numbers with serial-number arithmetic (RFC 1982 style): seq_ is never
-  /// rebased by clear(), so a long-lived queue that is reset between runs
-  /// for years of campaigns may eventually wrap, and pending events then
-  /// straddle the wrap point.  As long as fewer than 2^63 events are live
-  /// at once — guaranteed, seq is also the liveness stamp — the signed
-  /// difference still orders FIFO across the wrap.
+  /// earliest (when, seq) is at the front.  A queue lives for one run and
+  /// counts seq from 0, so the plain comparison never meets a wrap.
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return static_cast<std::int64_t>(a.seq - b.seq) > 0;
+      return a.seq > b.seq;
     }
   };
 

@@ -47,14 +47,10 @@ struct TimedResult {
   double seconds{0};
 };
 
-/// Accounting for the most recent run()/run_timed()/run_with_context()
-/// call.  `runs_reused` counts executions that ran on a worker's warmed
-/// per-worker context (always 0 for the context-free entry points) — the
-/// campaign-throughput number reset-per-run exists to maximise.
+/// Accounting for the most recent run()/run_timed() call.
 struct RunnerSummary {
   double wall_seconds{0};
   std::size_t scenarios{0};
-  std::size_t runs_reused{0};
   unsigned workers{1};
 };
 
@@ -68,8 +64,8 @@ class ScenarioRunner {
   /// Wall-clock seconds of the most recent run()/run_timed() call.
   [[nodiscard]] double last_wall_seconds() const { return wall_seconds_; }
 
-  /// Accounting of the most recent run (wall clock, scenario count, how
-  /// many executions reused a per-worker context).
+  /// Accounting of the most recent run (wall clock, scenario count,
+  /// workers).
   [[nodiscard]] const RunnerSummary& summary() const { return summary_; }
 
   /// Runs every scenario and returns results ordered by scenario index.
@@ -127,82 +123,13 @@ class ScenarioRunner {
     }
 
     wall_seconds_ = std::chrono::duration<double>(Clock::now() - wall_start).count();
-    summary_ = RunnerSummary{wall_seconds_, scenarios.size(), 0, workers};
+    summary_ = RunnerSummary{wall_seconds_, scenarios.size(), workers};
 
     for (const auto& error : errors) {
       if (error) std::rethrow_exception(error);
     }
     std::vector<TimedResult<Result>> results;
     results.reserve(slots.size());
-    for (auto& slot : slots) results.push_back(std::move(*slot));
-    return results;
-  }
-
-  /// Campaign entry point: runs `count` scenarios where each worker owns
-  /// ONE default-constructed Context for its whole lifetime and every
-  /// scenario that worker executes receives it — the seam reset-per-run
-  /// campaigns use to keep a warmed BuiltCell (and pre-sized report
-  /// buffers) alive across runs instead of rebuilding per scenario.
-  /// Results are index-ordered and bit-identical to a serial run for any
-  /// worker count, because every run owns its whole simulation state.
-  /// Every execution after a worker's first counts into
-  /// summary().runs_reused.
-  template <typename Result, typename Context>
-  std::vector<Result> run_with_context(
-      std::size_t count,
-      const std::function<Result(Context&, std::size_t)>& scenario) {
-    using Clock = std::chrono::steady_clock;
-    const auto wall_start = Clock::now();
-
-    // Pre-sized result buffer: one slot per scenario, written in place by
-    // whichever worker claims the index — no per-run report allocation.
-    std::vector<std::optional<Result>> slots(count);
-    std::vector<std::exception_ptr> errors(count);
-
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
-    std::atomic<std::size_t> reused{0};
-
-    auto drain = [&](auto claim) {
-      Context context{};
-      std::size_t executed = 0;
-      for (std::size_t i = claim(); i < count; i = claim()) {
-        try {
-          slots[i] = scenario(context, i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-        ++executed;
-      }
-      if (executed > 1) {
-        reused.fetch_add(executed - 1, std::memory_order_relaxed);
-      }
-    };
-
-    if (workers <= 1) {
-      std::size_t serial_next = 0;
-      drain([&] { return serial_next++; });
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&] { drain([&] { return next.fetch_add(1); }); });
-      }
-      for (auto& worker : pool) worker.join();
-    }
-
-    wall_seconds_ =
-        std::chrono::duration<double>(Clock::now() - wall_start).count();
-    summary_ = RunnerSummary{wall_seconds_, count,
-                             reused.load(std::memory_order_relaxed),
-                             std::max(workers, 1u)};
-
-    for (const auto& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-    std::vector<Result> results;
-    results.reserve(count);
     for (auto& slot : slots) results.push_back(std::move(*slot));
     return results;
   }

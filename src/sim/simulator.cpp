@@ -32,11 +32,4 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::reset() {
-  queue_.clear();
-  now_ = TimePoint::zero();
-  executed_ = 0;
-  stop_requested_ = false;
-}
-
 }  // namespace bansim::sim

@@ -62,9 +62,6 @@ class Simulator {
     return queue_.slot_capacity();
   }
 
-  /// Discards all pending events and resets the clock to zero.
-  void reset();
-
  private:
   EventQueue queue_;
   TimePoint now_{TimePoint::zero()};

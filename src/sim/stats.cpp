@@ -87,15 +87,6 @@ void StateResidency::transition(int new_state, TimePoint when) {
   ++entries_[static_cast<std::size_t>(new_state)];
 }
 
-void StateResidency::reset(int initial_state, TimePoint start) {
-  assert(static_cast<std::size_t>(initial_state) < acc_.size());
-  std::fill(acc_.begin(), acc_.end(), Duration::zero());
-  std::fill(entries_.begin(), entries_.end(), std::uint64_t{0});
-  state_ = initial_state;
-  since_ = start;
-  ++entries_[static_cast<std::size_t>(initial_state)];
-}
-
 void StateResidency::close(TimePoint when) {
   assert(when >= since_ && "close must not move time backwards");
   acc_[static_cast<std::size_t>(state_)] += when - since_;

@@ -90,10 +90,6 @@ class StateResidency {
   /// a fuzzer drives: every layer flushes "at sim end") adds zero.
   void close(TimePoint when);
 
-  /// Run-reset: identical to constructing StateResidency{num_states,
-  /// initial_state, start} but in place, reusing the accumulator storage.
-  void reset(int initial_state = 0, TimePoint start = TimePoint::zero());
-
   [[nodiscard]] int current_state() const { return state_; }
 
   /// Total time spent in `state`, counting the in-progress stretch up to `now`.

@@ -146,15 +146,6 @@ class Tracer {
   void attach(std::shared_ptr<TraceSink> sink,
               std::initializer_list<TraceCategory> categories);
 
-  /// Run-reset hook of the reuse protocol (DESIGN.md).  The interned-name
-  /// table, its ids, attached sinks and category switches all survive: a
-  /// reused cell re-interns the same node names and must get the same
-  /// TraceNodeIds back without re-hashing growth, and the caller's sink
-  /// wiring is configuration, not run state.  Nothing else in the tracer
-  /// is per-run, so this is deliberately a no-op — it exists so the
-  /// protocol is explicit at every layer and pinned by tests.
-  void reset() {}
-
   /// Enables/disables a category globally.
   void set_enabled(TraceCategory category, bool enabled) {
     enabled_[static_cast<std::size_t>(category)] = enabled;

@@ -95,14 +95,6 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  for (int i = 0; i < 5; ++i) q.schedule(at(i), [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-}
-
 TEST(EventQueue, ScheduledTotalCounts) {
   EventQueue q;
   for (int i = 0; i < 7; ++i) q.schedule(at(i), [] {});
@@ -139,19 +131,6 @@ TEST(EventQueue, SizeIsExactAfterMassCancellation) {
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.next_time(), at(50));
   EXPECT_TRUE(live.pending());
-}
-
-TEST(EventQueue, HandleOutlivesClear) {
-  EventQueue q;
-  EventHandle h = q.schedule(at(1), [] {});
-  q.clear();
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // must be a harmless no-op
-  // New work scheduled after the clear is unaffected by the old handle.
-  EventHandle fresh = q.schedule(at(2), [] {});
-  EXPECT_FALSE(h.pending());
-  EXPECT_TRUE(fresh.pending());
-  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, SlotArenaRecyclesInsteadOfGrowing) {
@@ -295,19 +274,6 @@ TEST(EventQueue, CancelDestroysCapturedStateEagerly) {
   EXPECT_EQ(constructed, destroyed);
 }
 
-TEST(EventQueue, ClearDestroysCapturedState) {
-  int constructed = 0;
-  int destroyed = 0;
-  EventQueue q;
-  for (int i = 0; i < 4; ++i) {
-    q.schedule(at(i), [probe = LifeProbe{&constructed, &destroyed}] {
-      (void)probe;
-    });
-  }
-  q.clear();
-  EXPECT_EQ(constructed, destroyed);
-}
-
 TEST(EventQueue, PopBalancesConstructionAndDestruction) {
   int constructed = 0;
   int destroyed = 0;
@@ -343,31 +309,6 @@ TEST(EventQueue, SelfRescheduleFromInsideInvocation) {
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(q.slot_capacity(), 1u);  // the chain reused one slot
-}
-
-TEST(EventQueue, ClearThenRescheduleDoesNotAliasRecycledSlots) {
-  EventQueue q;
-  bool stale_ran = false;
-  std::vector<EventHandle> stale;
-  for (int i = 0; i < 3; ++i) {
-    stale.push_back(q.schedule(at(i), [&stale_ran] { stale_ran = true; }));
-  }
-  q.clear();
-  // The replacements recycle the cleared slots; stale handles must neither
-  // report pending nor cancel the new occupants.
-  int fresh_ran = 0;
-  for (int i = 0; i < 3; ++i) {
-    q.schedule(at(10 + i), [&fresh_ran] { ++fresh_ran; });
-  }
-  for (auto& h : stale) {
-    EXPECT_FALSE(h.pending());
-    h.cancel();
-  }
-  EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) q.pop().second();
-  EXPECT_FALSE(stale_ran);
-  EXPECT_EQ(fresh_ran, 3);
-  EXPECT_EQ(q.slot_capacity(), 3u);
 }
 
 TEST(EventQueue, ReservePresizesArenaWithoutChangingBehaviour) {

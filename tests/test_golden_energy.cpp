@@ -360,79 +360,5 @@ TEST(GoldenEnergy, CrashRebootAloha) {
   }));
 }
 
-// --- Reset-vs-rebuild equivalence ------------------------------------------
-//
-// The run-reset protocol's contract: a cell that already ran a same-shape
-// decoy config and was reset must reproduce a fresh build EXACTLY — `==`
-// on every per-component, per-state joule — for all four MAC protocols.
-
-std::vector<double> run_fresh(const BanConfig& config) {
-  BanNetwork network{config};
-  network.start();
-  network.run_until(TimePoint::zero() + Duration::seconds(2));
-  return flatten_energies(network);
-}
-
-std::vector<double> run_after_reset(const BanConfig& config) {
-  BanConfig decoy = config;
-  decoy.seed = config.seed ^ 0x517cc1b727220a95ull;
-  decoy.ecg.heart_rate_bpm = config.ecg.heart_rate_bpm + 13.0;
-  BanNetwork network{decoy};
-  network.start();
-  network.run_until(TimePoint::zero() + Duration::milliseconds(700));
-
-  network.reset(config);
-  network.start();
-  network.run_until(TimePoint::zero() + Duration::seconds(2));
-  return flatten_energies(network);
-}
-
-TEST(GoldenEnergy, ResetEqualsRebuildStaticTdma) {
-  BanConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.seed = 31;
-  const auto fresh = run_fresh(cfg);
-  ASSERT_FALSE(fresh.empty());
-  EXPECT_EQ(run_after_reset(cfg), fresh);
-}
-
-TEST(GoldenEnergy, ResetEqualsRebuildDynamicTdma) {
-  BanConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.seed = 32;
-  cfg.tdma.variant = mac::TdmaVariant::kDynamic;
-  cfg.tdma.max_slots = 0;
-  EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
-}
-
-TEST(GoldenEnergy, ResetEqualsRebuildCsmaCa) {
-  BanConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.seed = 33;
-  cfg.mac = MacKind::kCsmaCa;
-  EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
-}
-
-TEST(GoldenEnergy, ResetEqualsRebuildAloha) {
-  BanConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.seed = 34;
-  cfg.mac = MacKind::kAloha;
-  EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
-}
-
-TEST(GoldenEnergy, ResetEqualsRebuildWithStorageAndFaults) {
-  BanConfig cfg;
-  cfg.num_nodes = 3;
-  cfg.seed = 35;
-  cfg.use_link_model = true;
-  cfg.storage.enabled = true;
-  cfg.storage.battery.capacity_mah = 0.03;
-  cfg.fault_plan.enabled = true;
-  cfg.fault_plan.fade.enabled = true;
-  cfg.fault_plan.fade.fer = 0.1;
-  EXPECT_EQ(run_after_reset(cfg), run_fresh(cfg));
-}
-
 }  // namespace
 }  // namespace bansim::core

@@ -104,17 +104,6 @@ TEST(Simulator, StepExecutesExactlyOne) {
   EXPECT_FALSE(s.step());
 }
 
-TEST(Simulator, ResetRestoresInitialState) {
-  Simulator s;
-  s.schedule_in(1_ms, [] {});
-  s.schedule_in(2_ms, [] {});
-  s.run_until(TimePoint::zero() + 1_ms);
-  s.reset();
-  EXPECT_EQ(s.now(), TimePoint::zero());
-  EXPECT_EQ(s.events_pending(), 0u);
-  EXPECT_EQ(s.events_executed(), 0u);
-}
-
 TEST(Simulator, CountsExecutedEvents) {
   Simulator s;
   for (int i = 0; i < 25; ++i) s.schedule_in(Duration::microseconds(i), [] {});
