@@ -243,7 +243,7 @@ bool read_work_line(int fd, std::string& line) {
 }
 
 /// The worker loop: read global shard indices off stdin (one per line),
-/// execute each against warmed cells, append the result to this worker's
+/// run each patient on a fresh cell, append the result to this worker's
 /// segment, and speak the heartbeat protocol on stdout ("start <k>", one
 /// "hb <k>" per patient, "done <k>").  EOF or SIGTERM is a clean
 /// shutdown: the in-flight shard finishes, a final checkpoint records the
@@ -616,6 +616,7 @@ class MultiprocessRun {
         close_fd(worker.to_child);
         continue;
       }
+      if (chaos_budget_spent()) continue;
       const auto eligible =
           std::find_if(pending_.begin(), pending_.end(), [&](std::size_t k) {
             const auto it = shard_state_.find(k);
@@ -736,6 +737,23 @@ class MultiprocessRun {
         std::chrono::duration<double, std::milli>(elapsed).count();
     double& estimate = estimate_ms_[variant];
     estimate = estimate <= 0.0 ? sample : 0.5 * estimate + 0.5 * sample;
+  }
+
+  /// A chaos stop counts shards when their "done" is read, but a worker
+  /// makes a shard durable before that.  Handing out no more shards than
+  /// the stop point keeps any from landing past it.
+  [[nodiscard]] bool chaos_budget_spent() const {
+    std::size_t limit = options_.die_after_shards;
+    if (options_.stop_after_shards != 0 &&
+        (limit == 0 || options_.stop_after_shards < limit)) {
+      limit = options_.stop_after_shards;
+    }
+    if (limit == 0) return false;
+    std::size_t inflight = 0;
+    for (const WorkerProc& worker : workers_) {
+      if (worker.alive && worker.inflight) ++inflight;
+    }
+    return result_.shards_run + inflight >= limit;
   }
 
   void maybe_chaos_stop() {
