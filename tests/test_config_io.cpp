@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "core/paper_experiments.hpp"
 
 namespace bansim::core {
 namespace {
@@ -511,6 +520,194 @@ TEST(ConfigIo, StorageValidationErrors) {
   // Unknown storage keys are hard errors like everywhere else.
   EXPECT_THROW(parse_config("[storage]\nvolts = 3\n"), ConfigError);
   EXPECT_THROW(parse_config("[harvest]\nprofile = triangle\n"), ConfigError);
+}
+
+// --- Golden serialization pins -------------------------------------------
+//
+// The exact serialize_config text of every config family the repository
+// ships or measures, pinned byte-for-byte in tests/golden/config_io/.  A
+// deliberate format change regenerates them with
+//   BANSIM_UPDATE_GOLDEN=1 build/tests/test_config_io
+// and the diff shows up in review.
+
+/// A config that switches on every conditional section the serializer
+/// knows: the [mac] section with its protocol's own section, all four
+/// [fault.*] sub-sections plus shadowing episodes and one scripted event
+/// of each kind, a global store with harvest, and a roster whose nodes
+/// override apps, addresses, clocks and storage of the other kind.
+BanConfig every_section_config(MacKind mac) {
+  using sim::Duration;
+  BanConfig c;
+  c.num_nodes = 3;
+  c.seed = 77;
+  c.stagger = 25_ms;
+  c.app = AppKind::kRpeak;
+  c.mac = mac;
+  c.tdma = mac::TdmaConfig::dynamic_plan(Duration::milliseconds(8));
+  c.tdma.reclaim_after_cycles = 6;
+  c.tdma.missed_beacon_limit = 3;
+  c.tdma.search_listen = 150_ms;
+  c.tdma.search_backoff_base = 40_ms;
+  c.tdma.search_backoff_max = 500_ms;
+  c.aloha.ack_data = true;
+  c.aloha.max_retries = 4;
+  c.aloha.backoff_base = Duration::from_milliseconds(3.5);
+  c.csma.cycle = 45_ms;
+  c.csma.gts_slots = 1;
+  c.csma.gts_slot = 4_ms;
+  c.csma.max_be = 4;
+  c.csma.ack_data = true;
+  c.streaming.sample_rate_hz = 120.5;
+  c.use_link_model = true;
+  c.link_budget.tx_power_dbm = -7.5;
+
+  fault::FaultPlan& plan = c.fault_plan;
+  plan.enabled = true;
+  plan.fade.enabled = true;
+  plan.fade.p_enter = 0.02;
+  plan.fade.p_exit = 0.3;
+  plan.fade.step = 5_ms;
+  plan.fade.extra_loss_db = 12;
+  plan.fade.fer = 0.6;
+  plan.interferer.enabled = true;
+  plan.interferer.period = 150_ms;
+  plan.interferer.burst = 3_ms;
+  plan.interferer.fer = 0.5;
+  plan.crashes.enabled = true;
+  plan.crashes.rate_hz = 0.05;
+  plan.crashes.min_down = 200_ms;
+  plan.crashes.max_down = 600_ms;
+  plan.brownout.enabled = true;
+  plan.brownout.capacity_mah = 0.08;
+  plan.brownout.esr_ohms = 90;
+  plan.brownout.brownout_volts = 3.6;
+  plan.brownout.recovery = 800_ms;
+  fault::ShadowEpisode all_nodes;
+  all_nodes.node = 0;
+  all_nodes.start = sim::TimePoint::zero() + 2500_ms;
+  all_nodes.duration = 400_ms;
+  all_nodes.extra_loss_db = 18;
+  all_nodes.fer = 0.25;
+  fault::ShadowEpisode one_node = all_nodes;
+  one_node.node = 2;
+  one_node.start = sim::TimePoint::zero() + 3200_ms;
+  plan.episodes = {all_nodes, one_node};
+  fault::FaultEvent crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.node = 1;
+  crash.at = sim::TimePoint::zero() + 3_s;
+  crash.down = 450_ms;
+  fault::FaultEvent lockup;
+  lockup.kind = fault::FaultKind::kRadioLockup;
+  lockup.node = 2;
+  lockup.at = sim::TimePoint::zero() + 3500_ms;
+  fault::FaultEvent skew;
+  skew.kind = fault::FaultKind::kSkewStep;
+  skew.node = 3;
+  skew.at = sim::TimePoint::zero() + 4_s;
+  skew.skew_delta = -5e-4;
+  plan.events = {crash, lockup, skew};
+
+  // The global store is a battery on the ALOHA cell and a capacitor on the
+  // CSMA/CA cell; node 2 overrides it with the other kind either way.
+  hw::StorageParams& storage = c.storage;
+  storage.enabled = true;
+  storage.check = 50_ms;
+  storage.kind = mac == MacKind::kAloha ? hw::StorageKind::kBattery
+                                        : hw::StorageKind::kCapacitor;
+  storage.battery.capacity_mah = 30;
+  storage.battery.rated_c = 2;
+  storage.capacitor.capacitance_farads = 0.04;
+  storage.capacitor.turnon_volts = 3.4;
+  storage.harvest.enabled = true;
+  storage.harvest.profile = mac == MacKind::kAloha
+                                ? hw::HarvestParams::Profile::kSine
+                                : hw::HarvestParams::Profile::kSquare;
+  storage.harvest.watts = 0.003;
+  storage.harvest.floor_watts = 0.0005;
+  storage.harvest.period = 1500_ms;
+  storage.harvest.duty = 0.4;
+  storage.harvest.phase = 100_ms;
+
+  c.roster.resize(3);
+  NodeSpec& first = c.roster[0];
+  first.app = AppKind::kEcgStreaming;
+  first.address = 0x31;
+  first.streaming = c.streaming;
+  first.streaming->sample_rate_hz = 250;
+  first.streaming->payload_bytes = 20;
+  first.ecg = c.ecg;
+  first.ecg->heart_rate_bpm = 72;
+  NodeSpec& second = c.roster[1];
+  second.clock_skew = 1.5e-4;
+  second.boot_offset = 4_ms;
+  second.fidelity = Fidelity::kModel;
+  second.rpeak = c.rpeak;
+  second.rpeak->sample_rate_hz = 300;
+  second.storage = storage;
+  second.storage->kind = mac == MacKind::kAloha ? hw::StorageKind::kCapacitor
+                                                : hw::StorageKind::kBattery;
+  second.storage->capacitor.capacitance_farads = 0.02;
+  second.storage->battery.capacity_mah = 12;
+  second.storage->harvest.watts = 0.006;
+  NodeSpec& third = c.roster[2];
+  third.app = AppKind::kNone;
+  third.storage = storage;
+  third.storage->enabled = false;
+  if (mac == MacKind::kCsmaCa) {
+    first.csma_gts = true;
+    third.csma_gts = false;
+  }
+  return c;
+}
+
+/// Every pinned (golden file name, config) pair.
+std::vector<std::pair<std::string, BanConfig>> golden_cases() {
+  std::vector<std::pair<std::string, BanConfig>> cases;
+  cases.emplace_back("default", BanConfig{});
+  cases.emplace_back("rpeak_dynamic_5",
+                     rpeak_dynamic_config(PaperSetup{}, 5));
+  cases.emplace_back("every_section_aloha",
+                     every_section_config(MacKind::kAloha));
+  cases.emplace_back("every_section_csma",
+                     every_section_config(MacKind::kCsmaCa));
+  std::vector<std::filesystem::path> examples;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{BANSIM_CONFIG_DIR}) {
+    if (entry.path().extension() == ".ini") examples.push_back(entry.path());
+  }
+  std::sort(examples.begin(), examples.end());
+  for (const auto& path : examples) {
+    std::ifstream in{path};
+    std::ostringstream text;
+    text << in.rdbuf();
+    cases.emplace_back("example_" + path.stem().string(),
+                       parse_config(text.str()));
+  }
+  return cases;
+}
+
+TEST(ConfigIo, SerializationMatchesGoldenText) {
+  const bool update = std::getenv("BANSIM_UPDATE_GOLDEN") != nullptr;
+  const auto cases = golden_cases();
+  ASSERT_GE(cases.size(), 15u);  // 4 built here + 11 examples/configs
+  for (const auto& [name, config] : cases) {
+    SCOPED_TRACE(name);
+    const std::filesystem::path path =
+        std::filesystem::path{BANSIM_GOLDEN_DIR} / (name + ".ini");
+    const std::string text = serialize_config(config);
+    if (update) {
+      std::ofstream{path} << text;
+      continue;
+    }
+    std::ifstream in{path};
+    ASSERT_TRUE(in) << "missing golden file " << path;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(text, golden.str());
+    // The pinned text is itself a fixpoint of parse + serialize.
+    EXPECT_EQ(serialize_config(parse_config(golden.str())), golden.str());
+  }
 }
 
 }  // namespace
