@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace bansim::core {
@@ -34,15 +41,22 @@ double to_double(const std::string& key, const std::string& value) {
   }
 }
 
-std::int64_t to_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(value, &used, 0);
-    if (used != value.size()) throw ConfigError("");
-    return v;
-  } catch (...) {
-    throw ConfigError("bad integer value for " + key + ": " + value);
+/// Range-checked integer of the field's own (unsigned) type: a value the
+/// field cannot hold is an error naming the key, never a wrap-around.
+template <class V>
+V to_integer(const std::string& key, const std::string& value) {
+  static_assert(std::is_unsigned_v<V>);
+  constexpr auto kMax = std::numeric_limits<V>::max();
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
+  // strtoull would wrap "-3" around; an unsigned field refuses it.
+  if (value.empty() || value.front() == '-' || errno != 0 ||
+      end != value.c_str() + value.size() || v > kMax) {
+    throw ConfigError("bad integer value for " + key + ": " + value +
+                      " (expected 0.." + std::to_string(kMax) + ")");
   }
+  return static_cast<V>(v);
 }
 
 bool to_bool(const std::string& key, const std::string& value) {
@@ -52,70 +66,66 @@ bool to_bool(const std::string& key, const std::string& value) {
   throw ConfigError("bad boolean value for " + key + ": " + value);
 }
 
+/// `%g` at the smallest precision >= 6 that reads back as the same double:
+/// the stream default wherever that is already exact, exact everywhere.
+std::string format_double(double v) {
+  char buffer[32];
+  for (int precision = 6;; ++precision) {
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, v);
+    if (precision >= 17 || std::strtod(buffer, nullptr) == v) return buffer;
+  }
+}
+
+/// One parser per enum: the tokens are the enumerators' own `to_string`.
+template <class E, std::size_t N>
+E parse_enum(const std::string& token, const char* what, const E (&all)[N]) {
+  const std::string v = lower(trim(token));
+  std::string expected;
+  for (const E e : all) {
+    if (v == to_string(e)) return e;
+    expected += (expected.empty() ? "" : " | ") + std::string{to_string(e)};
+  }
+  throw ConfigError("unknown " + std::string{what} + " '" + token +
+                    "' (expected " + expected + ")");
+}
+
 }  // namespace
 
 AppKind parse_app_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "none") return AppKind::kNone;
-  if (v == "ecg_streaming") return AppKind::kEcgStreaming;
-  if (v == "rpeak") return AppKind::kRpeak;
-  if (v == "eeg_monitoring") return AppKind::kEegMonitoring;
-  throw ConfigError("unknown app kind '" + token +
-                    "' (expected none | ecg_streaming | rpeak | "
-                    "eeg_monitoring)");
+  using enum AppKind;
+  return parse_enum(token, "app kind",
+                    {kNone, kEcgStreaming, kRpeak, kEegMonitoring});
 }
 
 mac::Protocol parse_mac_protocol(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "static_tdma") return mac::Protocol::kStaticTdma;
-  if (v == "dynamic_tdma") return mac::Protocol::kDynamicTdma;
-  if (v == "aloha") return mac::Protocol::kAloha;
-  if (v == "csma_ca") return mac::Protocol::kCsmaCa;
-  throw ConfigError("unknown mac protocol '" + token +
-                    "' (expected static_tdma | dynamic_tdma | aloha | "
-                    "csma_ca)");
+  using enum mac::Protocol;
+  return parse_enum(token, "mac protocol",
+                    {kStaticTdma, kDynamicTdma, kAloha, kCsmaCa});
 }
 
 mac::TdmaVariant parse_tdma_variant(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "static") return mac::TdmaVariant::kStatic;
-  if (v == "dynamic") return mac::TdmaVariant::kDynamic;
-  throw ConfigError("unknown tdma variant '" + token +
-                    "' (expected static | dynamic)");
+  using enum mac::TdmaVariant;
+  return parse_enum(token, "tdma variant", {kStatic, kDynamic});
 }
 
 Fidelity parse_fidelity(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "reference") return Fidelity::kReference;
-  if (v == "model") return Fidelity::kModel;
-  throw ConfigError("unknown fidelity '" + token +
-                    "' (expected reference | model)");
+  using enum Fidelity;
+  return parse_enum(token, "fidelity", {kReference, kModel});
 }
 
 fault::FaultKind parse_fault_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "crash") return fault::FaultKind::kCrash;
-  if (v == "radio_lockup") return fault::FaultKind::kRadioLockup;
-  if (v == "skew_step") return fault::FaultKind::kSkewStep;
-  throw ConfigError("unknown fault kind '" + token +
-                    "' (expected crash | radio_lockup | skew_step)");
+  using enum fault::FaultKind;
+  return parse_enum(token, "fault kind", {kCrash, kRadioLockup, kSkewStep});
 }
 
 hw::StorageKind parse_storage_kind(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "battery") return hw::StorageKind::kBattery;
-  if (v == "capacitor") return hw::StorageKind::kCapacitor;
-  throw ConfigError("unknown storage kind '" + token +
-                    "' (expected battery | capacitor)");
+  using enum hw::StorageKind;
+  return parse_enum(token, "storage kind", {kBattery, kCapacitor});
 }
 
 hw::HarvestParams::Profile parse_harvest_profile(const std::string& token) {
-  const std::string v = lower(trim(token));
-  if (v == "constant") return hw::HarvestParams::Profile::kConstant;
-  if (v == "sine") return hw::HarvestParams::Profile::kSine;
-  if (v == "square") return hw::HarvestParams::Profile::kSquare;
-  throw ConfigError("unknown harvest profile '" + token +
-                    "' (expected constant | sine | square)");
+  using enum hw::HarvestParams::Profile;
+  return parse_enum(token, "harvest profile", {kConstant, kSine, kSquare});
 }
 
 void apply_mac_protocol(BanConfig& config, mac::Protocol protocol) {
@@ -139,6 +149,592 @@ void apply_mac_protocol(BanConfig& config, mac::Protocol protocol) {
 
 namespace {
 
+/// Enum fields decode through the public parsers above.
+void decode(const std::string& s, AppKind& v) { v = parse_app_kind(s); }
+void decode(const std::string& s, Fidelity& v) { v = parse_fidelity(s); }
+void decode(const std::string& s, fault::FaultKind& v) {
+  v = parse_fault_kind(s);
+}
+void decode(const std::string& s, mac::TdmaVariant& v) {
+  v = parse_tdma_variant(s);
+}
+void decode(const std::string& s, hw::StorageKind& v) {
+  v = parse_storage_kind(s);
+}
+void decode(const std::string& s, hw::HarvestParams::Profile& v) {
+  v = parse_harvest_profile(s);
+}
+
+/// Token <-> value for one field type; the type picks the codec.  Durations
+/// and time points are carried in milliseconds, or µs where `kMicros`.
+template <class V, bool kMicros = false>
+struct Codec {
+  static V parse(const std::string& key, const std::string& token) {
+    if constexpr (std::is_same_v<V, bool>) {
+      return to_bool(key, token);
+    } else if constexpr (std::is_enum_v<V>) {
+      V v{};
+      decode(token, v);
+      return v;
+    } else if constexpr (std::is_integral_v<V>) {
+      return to_integer<V>(key, token);
+    } else if constexpr (std::is_floating_point_v<V>) {
+      return to_double(key, token);
+    } else if constexpr (std::is_same_v<V, sim::Duration>) {
+      return kMicros ? sim::Duration::from_microseconds(to_double(key, token))
+                     : sim::Duration::from_milliseconds(to_double(key, token));
+    } else {
+      static_assert(std::is_same_v<V, sim::TimePoint>);
+      return sim::TimePoint::zero() + Codec<sim::Duration>::parse(key, token);
+    }
+  }
+  static std::string format(const V& v) {
+    if constexpr (std::is_same_v<V, bool>) {
+      return v ? "true" : "false";
+    } else if constexpr (std::is_enum_v<V>) {
+      return to_string(v);
+    } else if constexpr (std::is_integral_v<V>) {
+      return std::to_string(v);
+    } else if constexpr (std::is_floating_point_v<V>) {
+      return format_double(v);
+    } else if constexpr (std::is_same_v<V, sim::Duration>) {
+      return format_double(kMicros ? v.to_microseconds() : v.to_milliseconds());
+    } else {
+      return Codec<sim::Duration>::format(v.since_epoch());
+    }
+  }
+};
+
+template <class V>
+struct Codec<std::optional<V>> {
+  static V parse(const std::string& key, const std::string& token) {
+    return Codec<V>::parse(key, token);
+  }
+  static std::string format(const std::optional<V>& v) {
+    return Codec<V>::format(*v);
+  }
+};
+
+/// What a field parser sees besides its token: the key's scoped name for
+/// messages, and the whole-file state the special keys feed.
+struct Ctx {
+  std::string name;  ///< "tdma.max_slots", "node.2.address", ...
+  const BanConfig* cell{nullptr};
+  bool nodes_set{false};
+  std::optional<sim::Duration> static_cycle;
+};
+
+template <class T>
+using Gate = bool (*)(const T&);
+
+/// One INI key bound to one field of a `T`.
+template <class T>
+struct Field {
+  const char* key;
+  void (*parse)(T&, const std::string& token, Ctx&);
+  std::string (*format)(const T&);  ///< nullptr: read, never written
+  Gate<T> when{nullptr};            ///< written only if it holds
+  bool per_node{false};  ///< also a `[node.K] <section>.<key>` override
+};
+
+/// The struct a member pointer points into.
+template <class C, class V>
+C owner_of(V C::*);
+template <auto Member>
+using OwnerOf = decltype(owner_of(Member));
+
+/// A member path from a `Root` (empty: the root itself).
+template <class Root, auto... Members>
+struct Path {
+  static auto& get(Root& r) { return (r .* ... .* Members); }
+  static const auto& get(const Root& r) { return (r .* ... .* Members); }
+  using Value = std::remove_cvref_t<decltype(get(std::declval<Root&>()))>;
+};
+
+template <class C, auto First, auto... Rest>
+Field<OwnerOf<First>> bind(const char* key, Gate<OwnerOf<First>> when) {
+  using T = OwnerOf<First>;
+  using P = Path<T, First, Rest...>;
+  if constexpr (requires(const T& t) { P::get(t).has_value(); }) {
+    if (!when) when = [](const T& t) { return P::get(t).has_value(); };
+  }
+  return {key,
+          [](T& t, const std::string& token, Ctx& ctx) {
+            P::get(t) = C::parse(ctx.name, token);
+          },
+          [](const T& t) { return C::format(P::get(t)); }, when};
+}
+
+/// The field at member path `First, Rest...`, coded by its type.  An
+/// optional field is written only when set.
+template <auto First, auto... Rest>
+auto field(const char* key, Gate<OwnerOf<First>> when = nullptr) {
+  using V = typename Path<OwnerOf<First>, First, Rest...>::Value;
+  return bind<Codec<V>, First, Rest...>(key, when);
+}
+
+/// A duration field carried in microseconds.
+template <auto First, auto... Rest>
+auto micros(const char* key) {
+  return bind<Codec<sim::Duration, true>, First, Rest...>(key, nullptr);
+}
+
+template <class T>
+Field<T> per_node(Field<T> f) {
+  f.per_node = true;
+  return f;
+}
+
+template <class T>
+using Fields = std::vector<Field<T>>;
+
+template <class T>
+const Field<T>* find(const Fields<T>& fields, std::string_view key) {
+  for (const Field<T>& f : fields) {
+    if (key == f.key) return &f;
+  }
+  return nullptr;
+}
+
+template <class T>
+bool parse_field(const Fields<T>& fields, T& target, std::string_view key,
+                 const std::string& token, Ctx& ctx) {
+  const Field<T>* f = find(fields, key);
+  if (f == nullptr) return false;
+  f->parse(target, token, ctx);
+  return true;
+}
+
+void header(std::string& out, const std::string& name) {
+  if (!out.empty()) out += '\n';
+  out += '[' + name + "]\n";
+}
+
+/// Writes `key = value` lines; `prefix` scopes node overrides, which carry
+/// only their per-node fields.
+template <class T>
+void emit_fields(std::string& out, const Fields<T>& fields, const T& target,
+                 const std::string& prefix = {}) {
+  for (const Field<T>& f : fields) {
+    if (f.format == nullptr || (!prefix.empty() && !f.per_node)) continue;
+    if (f.when != nullptr && !f.when(target)) continue;
+    if (!prefix.empty()) out += prefix + '.';
+    out += std::string{f.key} + " = " + f.format(target) + '\n';
+  }
+}
+
+/// One `[name]` section of the cell config.
+struct Section {
+  explicit Section(const char* section) : name{section} {}
+  virtual ~Section() = default;
+  /// Parses `key = token` into the cell; false for a key it does not own.
+  virtual bool parse(BanConfig&, std::string_view /*key*/,
+                     const std::string& /*token*/, Ctx&) const {
+    return false;
+  }
+  /// Same for a `[node.K] <name>.<key>` override of `spec`.
+  virtual bool parse_node(NodeSpec&, std::string_view /*key*/,
+                          const std::string& /*token*/, Ctx&) const {
+    return false;
+  }
+  virtual void emit(std::string& out, const BanConfig&) const = 0;
+  virtual void emit_node(std::string& /*out*/, const NodeSpec&) const {}
+
+  const std::string name;
+};
+
+/// A section configuring the struct at member path `Members` of BanConfig.
+/// With `node` set, its per-node fields may be overridden in [node.K] on
+/// the node's own copy of that struct, materialized from the cell's.
+template <auto... Members>
+class Bound final : public Section {
+  using P = Path<BanConfig, Members...>;
+  using S = typename P::Value;
+
+ public:
+  Bound(const char* section, Gate<BanConfig> present, Fields<S> fields,
+        std::optional<S> NodeSpec::*node = nullptr)
+      : Section{section}, present_{present}, fields_{std::move(fields)},
+        node_{node} {}
+
+  bool parse(BanConfig& config, std::string_view key,
+             const std::string& token, Ctx& ctx) const override {
+    return parse_field(fields_, P::get(config), key, token, ctx);
+  }
+  bool parse_node(NodeSpec& spec, std::string_view key,
+                  const std::string& token, Ctx& ctx) const override {
+    const Field<S>* f = find(fields_, key);
+    if (node_ == nullptr || f == nullptr || !f->per_node) return false;
+    std::optional<S>& own = spec.*node_;
+    if (!own) own = P::get(*ctx.cell);
+    f->parse(*own, token, ctx);
+    return true;
+  }
+  void emit(std::string& out, const BanConfig& config) const override {
+    if (present_ != nullptr && !present_(config)) return;
+    header(out, name);
+    emit_fields(out, fields_, P::get(config));
+  }
+  void emit_node(std::string& out, const NodeSpec& spec) const override {
+    if (node_ != nullptr && spec.*node_) {
+      emit_fields(out, fields_, *(spec.*node_), name);
+    }
+  }
+
+ private:
+  Gate<BanConfig> present_;
+  Fields<S> fields_;
+  std::optional<S> NodeSpec::*node_;
+};
+
+/// `[name.K]` sections, one per element of the list at `Members`.
+template <auto... Members>
+class Indexed final : public Section {
+  using P = Path<BanConfig, Members...>;
+  using Item = typename P::Value::value_type;
+
+ public:
+  Indexed(const char* section, Gate<BanConfig> present, Fields<Item> items)
+      : Section{section}, present_{present}, fields{std::move(items)} {}
+
+  void emit(std::string& out, const BanConfig& config) const override {
+    if (!present_(config)) return;
+    const auto& items = P::get(config);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      header(out, name + '.' + std::to_string(i + 1));
+      emit_fields(out, fields, items[i]);
+    }
+  }
+
+  const Gate<BanConfig> present_;
+  const Fields<Item> fields;  ///< parse_config fills the items itself
+};
+
+bool fault_on(const BanConfig& c) { return c.fault_plan.enabled; }
+/// A [fault.<part>] section is written when the plan and the part are on.
+template <auto Part>
+bool fault_part_on(const BanConfig& c) {
+  return fault_on(c) && (c.fault_plan.*Part).enabled;
+}
+bool storage_on(const BanConfig& c) { return c.storage.enabled; }
+bool harvests(const hw::StorageParams& s) { return s.harvest.enabled; }
+bool harvest_on(const BanConfig& c) {
+  return storage_on(c) && harvests(c.storage);
+}
+/// Battery (true) or capacitor (false) store.
+template <bool kBattery>
+bool is_battery(const hw::StorageParams& s) {
+  return (s.kind == hw::StorageKind::kBattery) == kBattery;
+}
+/// The cell carries a store of that kind.
+template <bool kBattery>
+bool storage_of(const BanConfig& c) {
+  return storage_on(c) && is_battery<kBattery>(c.storage);
+}
+
+/// Every INI key, in file order.  Built once; parse_config and
+/// serialize_config are loops over it.
+struct Table {
+  using Tdma = mac::TdmaConfig;
+  using Aloha = mac::AlohaConfig;
+  using Csma = mac::CsmaConfig;
+  using Plan = fault::FaultPlan;
+  using Fade = fault::FadeParams;
+  using Interferer = fault::InterfererParams;
+  using Crashes = fault::CrashProcess;
+  using Brownout = fault::BrownoutParams;
+  using Episode = fault::ShadowEpisode;
+  using Event = fault::FaultEvent;
+  using Store = hw::StorageParams;
+  using Battery = hw::BatteryParams;
+  using Capacitor = hw::CapacitorParams;
+  using Harvest = hw::HarvestParams;
+  using Budget = phy::LinkBudget;
+  using Ms = Codec<sim::Duration>;
+
+  Bound<> network{"network", nullptr, {
+      {"nodes",
+       [](BanConfig& c, const std::string& token, Ctx& ctx) {
+         c.num_nodes = Codec<std::size_t>::parse(ctx.name, token);
+         ctx.nodes_set = true;
+       },
+       [](const BanConfig& c) { return std::to_string(c.effective_nodes()); }},
+      field<&BanConfig::seed>("seed"),
+      field<&BanConfig::stagger>("stagger_ms"),
+      field<&BanConfig::app>("app"),
+      field<&BanConfig::address_offset>(
+          "address_offset",
+          [](const BanConfig& c) { return c.address_offset != 0; })}};
+
+  // [mac] only for non-default protocols: TDMA configs serialize exactly
+  // as they did before the protocol seam.
+  Bound<> protocol{
+      "mac", [](const BanConfig& c) { return c.mac != MacKind::kTdma; }, {
+      {"protocol",
+       [](BanConfig& c, const std::string& token, Ctx&) {
+         apply_mac_protocol(c, parse_mac_protocol(token));
+       },
+       [](const BanConfig& c) {
+         return std::string{to_string(c.protocol())};
+       }}}};
+
+  Bound<&BanConfig::tdma> tdma{"tdma", nullptr, {
+      field<&Tdma::variant>("variant"),
+      field<&Tdma::pan_id>("pan_id",
+                           [](const Tdma& t) { return t.pan_id != 0; }),
+      // The static cycle derives the slot once max_slots is known.
+      {"cycle_ms",
+       [](Tdma&, const std::string& token, Ctx& ctx) {
+         ctx.static_cycle = Ms::parse(ctx.name, token);
+       },
+       [](const Tdma& t) { return Ms::format(t.static_cycle()); },
+       [](const Tdma& t) { return t.variant == mac::TdmaVariant::kStatic; }},
+      field<&Tdma::slot>("slot_ms"),
+      field<&Tdma::max_slots>("max_slots"),
+      field<&Tdma::guard_fixed>("guard_fixed_ms"),
+      field<&Tdma::guard_fraction>("guard_fraction"),
+      field<&Tdma::fast_grant>("fast_grant"),
+      field<&Tdma::ack_data>("ack_data"),
+      field<&Tdma::max_retries>("max_retries"),
+      field<&Tdma::radio_power_down>("radio_power_down"),
+      field<&Tdma::reclaim_after_cycles>("reclaim_after_cycles"),
+      field<&Tdma::missed_beacon_limit>("missed_beacon_limit"),
+      field<&Tdma::tx_queue_cap>("tx_queue_cap"),
+      field<&Tdma::search_listen>("search_listen_ms"),
+      field<&Tdma::search_backoff_base>("search_backoff_base_ms"),
+      field<&Tdma::search_backoff_factor>("search_backoff_factor"),
+      field<&Tdma::search_backoff_max>("search_backoff_max_ms")}};
+
+  Bound<&BanConfig::aloha> aloha{
+      "aloha", [](const BanConfig& c) { return c.mac == MacKind::kAloha; }, {
+      field<&Aloha::initial_dither>("initial_dither_ms"),
+      field<&Aloha::ack_data>("ack_data"),
+      field<&Aloha::ack_wait>("ack_wait_ms"),
+      field<&Aloha::max_retries>("max_retries"),
+      field<&Aloha::backoff_base>("backoff_base_ms")}};
+
+  Bound<&BanConfig::csma> csma{
+      "csma", [](const BanConfig& c) { return c.mac == MacKind::kCsmaCa; }, {
+      field<&Csma::pan_id>("pan_id"),
+      field<&Csma::cycle>("cycle_ms"),
+      micros<&Csma::backoff_unit>("backoff_unit_us"),
+      field<&Csma::min_be>("min_be"),
+      field<&Csma::max_be>("max_be"),
+      field<&Csma::max_backoffs>("max_backoffs"),
+      micros<&Csma::cca>("cca_us"),
+      field<&Csma::ack_data>("ack_data"),
+      field<&Csma::ack_wait>("ack_wait_ms"),
+      field<&Csma::max_retries>("max_retries"),
+      field<&Csma::gts_slots>("gts_slots"),
+      field<&Csma::gts_slot>("gts_slot_ms"),
+      field<&Csma::guard_fixed>("guard_fixed_ms"),
+      field<&Csma::guard_fraction>("guard_fraction"),
+      field<&Csma::missed_beacon_limit>("missed_beacon_limit"),
+      micros<&Csma::beacon_timeout_margin>("beacon_timeout_margin_us"),
+      field<&Csma::tx_queue_cap>("tx_queue_cap")}};
+
+  Bound<&BanConfig::streaming> streaming{"streaming", nullptr, {
+      per_node(field<&apps::StreamingConfig::sample_rate_hz>("sample_rate_hz")),
+      per_node(field<&apps::StreamingConfig::payload_bytes>("payload_bytes"))},
+      &NodeSpec::streaming};
+
+  Bound<&BanConfig::rpeak> rpeak{"rpeak", nullptr, {
+      per_node(field<&apps::RpeakConfig::sample_rate_hz>("sample_rate_hz"))},
+      &NodeSpec::rpeak};
+
+  Bound<&BanConfig::ecg> ecg{"ecg", nullptr, {
+      per_node(field<&apps::EcgConfig::heart_rate_bpm>("heart_rate_bpm"))},
+      &NodeSpec::ecg};
+
+  Bound<> eeg{"eeg", nullptr, {
+      // The synthesizer must produce as many channels as the app frames.
+      {"channels",
+       [](BanConfig& c, const std::string& token, Ctx& ctx) {
+         c.eeg.channels = Codec<std::uint32_t>::parse(ctx.name, token);
+         c.eeg_signal.channels = c.eeg.channels;
+       },
+       [](const BanConfig& c) { return std::to_string(c.eeg.channels); }},
+      field<&BanConfig::eeg, &apps::EegAppConfig::sample_rate_hz>(
+          "sample_rate_hz"),
+      field<&BanConfig::eeg, &apps::EegAppConfig::block_samples>(
+          "block_samples")}};
+
+  Bound<> link{"link", nullptr, {
+      field<&BanConfig::use_link_model>("enabled"),
+      field<&BanConfig::link_budget, &Budget::tx_power_dbm>("tx_power_dbm"),
+      field<&BanConfig::link_budget, &Budget::path_loss_exponent>(
+          "path_loss_exponent"),
+      field<&BanConfig::link_budget, &Budget::shadowing_sigma_db>(
+          "shadowing_sigma_db")}};
+
+  // Fault sections only when a plan is carried: fault-free configs
+  // serialize exactly as they did before the fault subsystem existed.
+  Bound<&BanConfig::fault_plan> faults{
+      "fault", fault_on, {field<&Plan::enabled>("enabled")}};
+
+  Bound<&BanConfig::fault_plan, &Plan::fade> fade{
+      "fault.fade", fault_part_on<&Plan::fade>, {
+      field<&Fade::enabled>("enabled"),
+      field<&Fade::p_enter>("p_enter"),
+      field<&Fade::p_exit>("p_exit"),
+      field<&Fade::step>("step_ms"),
+      field<&Fade::extra_loss_db>("extra_loss_db"),
+      field<&Fade::fer>("fer")}};
+
+  Bound<&BanConfig::fault_plan, &Plan::interferer> interferer{
+      "fault.interferer", fault_part_on<&Plan::interferer>, {
+      field<&Interferer::enabled>("enabled"),
+      field<&Interferer::period>("period_ms"),
+      field<&Interferer::burst>("burst_ms"),
+      field<&Interferer::fer>("fer")}};
+
+  Bound<&BanConfig::fault_plan, &Plan::crashes> crashes{
+      "fault.crashes", fault_part_on<&Plan::crashes>, {
+      field<&Crashes::enabled>("enabled"),
+      field<&Crashes::rate_hz>("rate_hz"),
+      field<&Crashes::check>("check_ms"),
+      field<&Crashes::min_down>("min_down_ms"),
+      field<&Crashes::max_down>("max_down_ms")}};
+
+  Bound<&BanConfig::fault_plan, &Plan::brownout> brownout{
+      "fault.brownout", fault_part_on<&Plan::brownout>, {
+      field<&Brownout::enabled>("enabled"),
+      field<&Brownout::capacity_mah>("capacity_mah"),
+      field<&Brownout::esr_ohms>("esr_ohms"),
+      field<&Brownout::brownout_volts>("brownout_volts"),
+      field<&Brownout::check>("check_ms"),
+      field<&Brownout::recovery>("recovery_ms")}};
+
+  Indexed<&BanConfig::fault_plan, &Plan::episodes> episode{
+      "fault.episode", fault_on, {
+      field<&Episode::node>("node"),
+      field<&Episode::start>("start_ms"),
+      field<&Episode::duration>("duration_ms"),
+      field<&Episode::extra_loss_db>("extra_loss_db"),
+      field<&Episode::fer>("fer")}};
+
+  Indexed<&BanConfig::fault_plan, &Plan::events> event{
+      "fault.event", fault_on, {
+      field<&Event::kind>("kind"),
+      field<&Event::node>("node"),
+      field<&Event::at>("at_ms"),
+      field<&Event::down>("down_ms", [](const Event& e) {
+        return e.kind == fault::FaultKind::kCrash;
+      }),
+      field<&Event::skew_delta>("skew_delta", [](const Event& e) {
+        return e.kind == fault::FaultKind::kSkewStep;
+      })}};
+
+  // Storage sections only when a store is carried, for the same reason.
+  // A node override always restates `harvest.enabled`, so a node without
+  // harvest does not inherit the cell's on re-parse.
+  Bound<&BanConfig::storage> storage{"storage", storage_on, {
+      per_node(field<&Store::enabled>("enabled")),
+      per_node(field<&Store::kind>("kind")),
+      field<&Store::check>("check_ms")},
+      &NodeSpec::storage};
+
+  Bound<&BanConfig::storage> battery{"battery", storage_of<true>, {
+      per_node(field<&Store::battery, &Battery::capacity_mah>(
+          "capacity_mah", is_battery<true>)),
+      field<&Store::battery, &Battery::nominal_volts>("nominal_volts"),
+      field<&Store::battery, &Battery::full_volts>("full_volts"),
+      field<&Store::battery, &Battery::empty_volts>("empty_volts"),
+      field<&Store::battery, &Battery::dead_volts>("dead_volts"),
+      field<&Store::battery, &Battery::rated_c>("rated_c"),
+      field<&Store::battery, &Battery::peukert_exponent>("peukert_exponent")},
+      &NodeSpec::storage};
+
+  Bound<&BanConfig::storage> capacitor{"capacitor", storage_of<false>, {
+      per_node(field<&Store::capacitor, &Capacitor::capacitance_farads>(
+          "capacitance_f", is_battery<false>)),
+      field<&Store::capacitor, &Capacitor::full_volts>("full_volts"),
+      field<&Store::capacitor, &Capacitor::turnoff_volts>("turnoff_volts"),
+      field<&Store::capacitor, &Capacitor::turnon_volts>("turnon_volts")},
+      &NodeSpec::storage};
+
+  Bound<&BanConfig::storage> harvest{"harvest", harvest_on, {
+      per_node(field<&Store::harvest, &Harvest::enabled>("enabled")),
+      field<&Store::harvest, &Harvest::profile>("profile"),
+      per_node(field<&Store::harvest, &Harvest::watts>("watts", harvests)),
+      field<&Store::harvest, &Harvest::floor_watts>("floor_watts"),
+      field<&Store::harvest, &Harvest::period>("period_ms"),
+      field<&Store::harvest, &Harvest::duty>("duty"),
+      field<&Store::harvest, &Harvest::phase>("phase_ms")},
+      &NodeSpec::storage};
+
+  const std::vector<const Section*> sections{
+      &network, &protocol, &tdma,  &aloha,    &csma,       &streaming,
+      &rpeak,   &ecg,      &eeg,   &link,     &faults,     &fade,
+      &interferer, &crashes, &brownout, &episode, &event,  &storage,
+      &battery, &capacitor, &harvest};
+
+  /// `[node.K]` keys of the NodeSpec itself; `<section>.<key>` overrides
+  /// go to the per-node fields of the sections above.
+  const Fields<NodeSpec> node{
+      field<&NodeSpec::app>("app"),
+      field<&NodeSpec::address>(
+          "address", [](const NodeSpec& n) { return n.address != 0; }),
+      field<&NodeSpec::clock_skew>("clock_skew"),
+      field<&NodeSpec::boot_offset>("boot_ms"),
+      field<&NodeSpec::fidelity>("fidelity"),
+      // The MAC protocol is cell-wide; a [node.K] entry may only restate
+      // it (mixed-protocol cells would need per-node radios the channel
+      // model does not arbitrate).
+      {"protocol",
+       [](NodeSpec&, const std::string& token, Ctx& ctx) {
+         const mac::Protocol cell = ctx.cell->protocol();
+         if (parse_mac_protocol(token) == cell) return;
+         throw ConfigError(
+             "'" + ctx.name + "' conflicts with the cell protocol '" +
+             mac::to_string(cell) +
+             "' (the protocol is cell-wide; set it once under [mac])");
+       },
+       nullptr},
+      field<&NodeSpec::csma_gts>("csma_gts")};
+
+  [[nodiscard]] const Section* find(std::string_view name) const {
+    for (const Section* s : sections) {
+      if (s->name == name) return s;
+    }
+    return nullptr;
+  }
+};
+
+const Table& table() {
+  static const Table t;
+  return t;
+}
+
+/// Runs `fn`, prefixing any ConfigError it raises with the file line.
+template <class Fn>
+auto at_line(int line_no, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const ConfigError& e) {
+    throw ConfigError("line " + std::to_string(line_no) + ": " + e.what());
+  }
+}
+
+/// The 1-based K of a `[prefix.K]` header; nullopt for another section.
+std::optional<std::size_t> section_index(const std::string& section,
+                                         const std::string& prefix,
+                                         int line_no) {
+  if (section.rfind(prefix, 0) != 0) return std::nullopt;
+  std::size_t index = 0;
+  try {
+    index = to_integer<std::size_t>(section, section.substr(prefix.size()));
+  } catch (const ConfigError&) {
+    throw ConfigError("line " + std::to_string(line_no) +
+                      ": bad section index in [" + section + "]");
+  }
+  if (index == 0) {
+    throw ConfigError("line " + std::to_string(line_no) + ": [" + section +
+                      "] sections are 1-based");
+  }
+  return index;
+}
+
 /// One buffered `[node.K]` assignment; applied after the whole file is
 /// read so per-node overrides see the final global defaults.
 struct NodeAssignment {
@@ -148,109 +744,28 @@ struct NodeAssignment {
   int line_no;
 };
 
-void apply_node_key(NodeSpec& spec, const BanConfig& config,
-                    const NodeAssignment& a) {
-  const std::string scoped =
-      "node." + std::to_string(a.index) + "." + a.key;
-  if (a.key == "app") {
-    spec.app = parse_app_kind(a.value);
-  } else if (a.key == "address") {
-    spec.address = static_cast<net::NodeId>(to_int(scoped, a.value));
-  } else if (a.key == "clock_skew") {
-    spec.clock_skew = to_double(scoped, a.value);
-  } else if (a.key == "boot_ms") {
-    spec.boot_offset =
-        sim::Duration::from_milliseconds(to_double(scoped, a.value));
-  } else if (a.key == "fidelity") {
-    spec.fidelity = parse_fidelity(a.value);
-  } else if (a.key == "protocol") {
-    // The MAC protocol is cell-wide; a [node.K] entry may only restate it
-    // (mixed-protocol cells would need per-node radios the channel model
-    // does not arbitrate).
-    if (parse_mac_protocol(a.value) != config.protocol()) {
-      throw ConfigError(
-          "line " + std::to_string(a.line_no) + ": '" + scoped +
-          "' conflicts with the cell protocol '" +
-          std::string(mac::to_string(config.protocol())) +
-          "' (the protocol is cell-wide; set it once under [mac])");
-    }
-  } else if (a.key == "csma_gts") {
-    spec.csma_gts = to_bool(scoped, a.value);
-  } else if (a.key == "streaming.sample_rate_hz") {
-    if (!spec.streaming) spec.streaming = config.streaming;
-    spec.streaming->sample_rate_hz = to_double(scoped, a.value);
-  } else if (a.key == "streaming.payload_bytes") {
-    if (!spec.streaming) spec.streaming = config.streaming;
-    spec.streaming->payload_bytes =
-        static_cast<std::size_t>(to_int(scoped, a.value));
-  } else if (a.key == "rpeak.sample_rate_hz") {
-    if (!spec.rpeak) spec.rpeak = config.rpeak;
-    spec.rpeak->sample_rate_hz = to_double(scoped, a.value);
-  } else if (a.key == "ecg.heart_rate_bpm") {
-    if (!spec.ecg) spec.ecg = config.ecg;
-    spec.ecg->heart_rate_bpm = to_double(scoped, a.value);
-  } else if (a.key == "storage.enabled") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->enabled = to_bool(scoped, a.value);
-  } else if (a.key == "storage.kind") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->kind = parse_storage_kind(a.value);
-  } else if (a.key == "battery.capacity_mah") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->battery.capacity_mah = to_double(scoped, a.value);
-  } else if (a.key == "capacitor.capacitance_f") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->capacitor.capacitance_farads = to_double(scoped, a.value);
-  } else if (a.key == "harvest.enabled") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->harvest.enabled = to_bool(scoped, a.value);
-  } else if (a.key == "harvest.watts") {
-    if (!spec.storage) spec.storage = config.storage;
-    spec.storage->harvest.watts = to_double(scoped, a.value);
-  } else {
-    throw ConfigError("line " + std::to_string(a.line_no) +
-                      ": unknown key '" + scoped + "'");
-  }
-}
-
 }  // namespace
 
 BanConfig parse_config(const std::string& text) {
+  const Table& t = table();
   BanConfig config;
+  Ctx ctx;
+  ctx.cell = &config;
   std::vector<NodeAssignment> node_assignments;
   std::size_t max_node_index = 0;
-  bool nodes_set = false;
-  // The static cycle is expressed directly in the file; remember it to
-  // derive the slot width once max_slots is known.
-  double static_cycle_ms = -1.0;
   // Indexed fault sections, keyed so [fault.episode.2] may precede
   // [fault.episode.1] in the file; flattened in index order afterwards.
   std::map<std::size_t, fault::ShadowEpisode> fault_episodes;
   std::map<std::size_t, fault::FaultEvent> fault_events;
 
-  const auto section_index = [](const std::string& section,
-                                std::size_t prefix_len, int line_no) {
-    const std::string index_token = section.substr(prefix_len);
-    std::size_t index = 0;
-    try {
-      index = static_cast<std::size_t>(to_int("section index", index_token));
-    } catch (const ConfigError&) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": bad section index in [" + section + "]");
-    }
-    if (index == 0) {
-      throw ConfigError("line " + std::to_string(line_no) + ": [" + section +
-                        "] sections are 1-based");
-    }
-    return index;
-  };
-
   std::istringstream stream{text};
   std::string line;
   std::string section;
-  std::size_t current_node = 0;     ///< 1-based index when inside [node.K]
-  std::size_t current_episode = 0;  ///< 1-based, inside [fault.episode.K]
-  std::size_t current_event = 0;    ///< 1-based, inside [fault.event.K]
+  // Where the current section's keys go: one of these at most.
+  const Section* global = nullptr;
+  std::size_t current_node = 0;  ///< 1-based index when inside [node.K]
+  fault::ShadowEpisode* episode = nullptr;
+  fault::FaultEvent* event = nullptr;
   int line_no = 0;
   while (std::getline(stream, line)) {
     ++line_no;
@@ -264,27 +779,21 @@ BanConfig parse_config(const std::string& text) {
                           ": malformed section header");
       }
       section = lower(trim(line.substr(1, line.size() - 2)));
+      global = nullptr;
       current_node = 0;
-      current_episode = 0;
-      current_event = 0;
-      if (section.rfind("node.", 0) == 0) {
-        const std::string index_token = section.substr(5);
-        try {
-          current_node = static_cast<std::size_t>(
-              to_int("node section index", index_token));
-        } catch (const ConfigError&) {
-          throw ConfigError("line " + std::to_string(line_no) +
-                            ": bad node section [" + section + "]");
-        }
-        if (current_node == 0) {
-          throw ConfigError("line " + std::to_string(line_no) +
-                            ": node sections are 1-based ([node.1], ...)");
-        }
+      episode = nullptr;
+      event = nullptr;
+      if (const auto k = section_index(section, "node.", line_no)) {
+        current_node = *k;
         max_node_index = std::max(max_node_index, current_node);
-      } else if (section.rfind("fault.episode.", 0) == 0) {
-        current_episode = section_index(section, 14, line_no);
-      } else if (section.rfind("fault.event.", 0) == 0) {
-        current_event = section_index(section, 12, line_no);
+      } else if (const auto e = section_index(section, "fault.episode.",
+                                              line_no)) {
+        episode = &fault_episodes[*e];
+      } else if (const auto v = section_index(section, "fault.event.",
+                                              line_no)) {
+        event = &fault_events[*v];
+      } else {
+        global = t.find(section);
       }
       continue;
     }
@@ -295,612 +804,98 @@ BanConfig parse_config(const std::string& text) {
     }
     const std::string key = lower(trim(line.substr(0, eq)));
     const std::string value = trim(line.substr(eq + 1));
-    const std::string scoped = section + "." + key;
 
     if (current_node > 0) {
       node_assignments.push_back({current_node, key, value, line_no});
       continue;
     }
-
-    if (current_episode > 0) {
-      fault::ShadowEpisode& ep = fault_episodes[current_episode];
-      if (key == "node") {
-        ep.node = static_cast<std::uint32_t>(to_int(scoped, value));
-      } else if (key == "start_ms") {
-        ep.start = sim::TimePoint::zero() +
-                   sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "duration_ms") {
-        ep.duration =
-            sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "extra_loss_db") {
-        ep.extra_loss_db = to_double(scoped, value);
-      } else if (key == "fer") {
-        ep.fer = to_double(scoped, value);
-      } else {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": unknown key '" + scoped + "'");
+    ctx.name = section + "." + key;
+    const bool known = at_line(line_no, [&] {
+      if (episode != nullptr) {
+        return parse_field(t.episode.fields, *episode, key, value, ctx);
       }
-      continue;
-    }
-    if (current_event > 0) {
-      fault::FaultEvent& ev = fault_events[current_event];
-      if (key == "kind") {
-        ev.kind = parse_fault_kind(value);
-      } else if (key == "node") {
-        ev.node = static_cast<std::uint32_t>(to_int(scoped, value));
-      } else if (key == "at_ms") {
-        ev.at = sim::TimePoint::zero() +
-                sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "down_ms") {
-        ev.down = sim::Duration::from_milliseconds(to_double(scoped, value));
-      } else if (key == "skew_delta") {
-        ev.skew_delta = to_double(scoped, value);
-      } else {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": unknown key '" + scoped + "'");
+      if (event != nullptr) {
+        return parse_field(t.event.fields, *event, key, value, ctx);
       }
-      continue;
-    }
-
-    if (scoped == "network.nodes") {
-      config.num_nodes = static_cast<std::size_t>(to_int(scoped, value));
-      nodes_set = true;
-    } else if (scoped == "network.seed") {
-      config.seed = static_cast<std::uint64_t>(to_int(scoped, value));
-    } else if (scoped == "network.stagger_ms") {
-      config.stagger = sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "network.app") {
-      config.app = parse_app_kind(value);
-    } else if (scoped == "mac.protocol") {
-      apply_mac_protocol(config, parse_mac_protocol(value));
-    } else if (scoped == "aloha.initial_dither_ms") {
-      config.aloha.initial_dither =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "aloha.ack_data") {
-      config.aloha.ack_data = to_bool(scoped, value);
-    } else if (scoped == "aloha.ack_wait_ms") {
-      config.aloha.ack_wait =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "aloha.max_retries") {
-      config.aloha.max_retries =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "aloha.backoff_base_ms") {
-      config.aloha.backoff_base =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.pan_id") {
-      config.csma.pan_id = static_cast<std::uint16_t>(to_int(scoped, value));
-    } else if (scoped == "csma.cycle_ms") {
-      config.csma.cycle =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.backoff_unit_us") {
-      config.csma.backoff_unit =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.min_be") {
-      config.csma.min_be = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.max_be") {
-      config.csma.max_be = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.max_backoffs") {
-      config.csma.max_backoffs =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.cca_us") {
-      config.csma.cca =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.ack_data") {
-      config.csma.ack_data = to_bool(scoped, value);
-    } else if (scoped == "csma.ack_wait_ms") {
-      config.csma.ack_wait =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.max_retries") {
-      config.csma.max_retries =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.gts_slots") {
-      config.csma.gts_slots = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.gts_slot_ms") {
-      config.csma.gts_slot =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.guard_fixed_ms") {
-      config.csma.guard_fixed =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "csma.guard_fraction") {
-      config.csma.guard_fraction = to_double(scoped, value);
-    } else if (scoped == "csma.missed_beacon_limit") {
-      config.csma.missed_beacon_limit =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "csma.beacon_timeout_margin_us") {
-      config.csma.beacon_timeout_margin =
-          sim::Duration::from_microseconds(to_double(scoped, value));
-    } else if (scoped == "csma.tx_queue_cap") {
-      config.csma.tx_queue_cap =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.variant") {
-      config.tdma.variant = parse_tdma_variant(value);
-    } else if (scoped == "tdma.cycle_ms") {
-      static_cycle_ms = to_double(scoped, value);
-    } else if (scoped == "tdma.slot_ms") {
-      config.tdma.slot = sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.max_slots") {
-      config.tdma.max_slots = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.guard_fixed_ms") {
-      config.tdma.guard_fixed =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.guard_fraction") {
-      config.tdma.guard_fraction = to_double(scoped, value);
-    } else if (scoped == "tdma.fast_grant") {
-      config.tdma.fast_grant = to_bool(scoped, value);
-    } else if (scoped == "tdma.ack_data") {
-      config.tdma.ack_data = to_bool(scoped, value);
-    } else if (scoped == "tdma.max_retries") {
-      config.tdma.max_retries = static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.radio_power_down") {
-      config.tdma.radio_power_down = to_bool(scoped, value);
-    } else if (scoped == "tdma.reclaim_after_cycles") {
-      config.tdma.reclaim_after_cycles =
-          static_cast<std::uint32_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.missed_beacon_limit") {
-      config.tdma.missed_beacon_limit =
-          static_cast<std::uint8_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.tx_queue_cap") {
-      config.tdma.tx_queue_cap =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "tdma.search_listen_ms") {
-      config.tdma.search_listen =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.search_backoff_base_ms") {
-      config.tdma.search_backoff_base =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "tdma.search_backoff_factor") {
-      config.tdma.search_backoff_factor = to_double(scoped, value);
-    } else if (scoped == "tdma.search_backoff_max_ms") {
-      config.tdma.search_backoff_max =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.enabled") {
-      config.fault_plan.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.fade.enabled") {
-      config.fault_plan.fade.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.fade.p_enter") {
-      config.fault_plan.fade.p_enter = to_double(scoped, value);
-    } else if (scoped == "fault.fade.p_exit") {
-      config.fault_plan.fade.p_exit = to_double(scoped, value);
-    } else if (scoped == "fault.fade.step_ms") {
-      config.fault_plan.fade.step =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.fade.extra_loss_db") {
-      config.fault_plan.fade.extra_loss_db = to_double(scoped, value);
-    } else if (scoped == "fault.fade.fer") {
-      config.fault_plan.fade.fer = to_double(scoped, value);
-    } else if (scoped == "fault.interferer.enabled") {
-      config.fault_plan.interferer.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.interferer.period_ms") {
-      config.fault_plan.interferer.period =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.interferer.burst_ms") {
-      config.fault_plan.interferer.burst =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.interferer.fer") {
-      config.fault_plan.interferer.fer = to_double(scoped, value);
-    } else if (scoped == "fault.crashes.enabled") {
-      config.fault_plan.crashes.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.crashes.rate_hz") {
-      config.fault_plan.crashes.rate_hz = to_double(scoped, value);
-    } else if (scoped == "fault.crashes.check_ms") {
-      config.fault_plan.crashes.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.crashes.min_down_ms") {
-      config.fault_plan.crashes.min_down =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.crashes.max_down_ms") {
-      config.fault_plan.crashes.max_down =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.brownout.enabled") {
-      config.fault_plan.brownout.enabled = to_bool(scoped, value);
-    } else if (scoped == "fault.brownout.capacity_mah") {
-      config.fault_plan.brownout.capacity_mah = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.esr_ohms") {
-      config.fault_plan.brownout.esr_ohms = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.brownout_volts") {
-      config.fault_plan.brownout.brownout_volts = to_double(scoped, value);
-    } else if (scoped == "fault.brownout.check_ms") {
-      config.fault_plan.brownout.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "fault.brownout.recovery_ms") {
-      config.fault_plan.brownout.recovery =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "storage.enabled") {
-      config.storage.enabled = to_bool(scoped, value);
-    } else if (scoped == "storage.kind") {
-      config.storage.kind = parse_storage_kind(value);
-    } else if (scoped == "storage.check_ms") {
-      config.storage.check =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "battery.capacity_mah") {
-      config.storage.battery.capacity_mah = to_double(scoped, value);
-    } else if (scoped == "battery.nominal_volts") {
-      config.storage.battery.nominal_volts = to_double(scoped, value);
-    } else if (scoped == "battery.full_volts") {
-      config.storage.battery.full_volts = to_double(scoped, value);
-    } else if (scoped == "battery.empty_volts") {
-      config.storage.battery.empty_volts = to_double(scoped, value);
-    } else if (scoped == "battery.dead_volts") {
-      config.storage.battery.dead_volts = to_double(scoped, value);
-    } else if (scoped == "battery.rated_c") {
-      config.storage.battery.rated_c = to_double(scoped, value);
-    } else if (scoped == "battery.peukert_exponent") {
-      config.storage.battery.peukert_exponent = to_double(scoped, value);
-    } else if (scoped == "capacitor.capacitance_f") {
-      config.storage.capacitor.capacitance_farads = to_double(scoped, value);
-    } else if (scoped == "capacitor.full_volts") {
-      config.storage.capacitor.full_volts = to_double(scoped, value);
-    } else if (scoped == "capacitor.turnoff_volts") {
-      config.storage.capacitor.turnoff_volts = to_double(scoped, value);
-    } else if (scoped == "capacitor.turnon_volts") {
-      config.storage.capacitor.turnon_volts = to_double(scoped, value);
-    } else if (scoped == "harvest.enabled") {
-      config.storage.harvest.enabled = to_bool(scoped, value);
-    } else if (scoped == "harvest.profile") {
-      config.storage.harvest.profile = parse_harvest_profile(value);
-    } else if (scoped == "harvest.watts") {
-      config.storage.harvest.watts = to_double(scoped, value);
-    } else if (scoped == "harvest.floor_watts") {
-      config.storage.harvest.floor_watts = to_double(scoped, value);
-    } else if (scoped == "harvest.period_ms") {
-      config.storage.harvest.period =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "harvest.duty") {
-      config.storage.harvest.duty = to_double(scoped, value);
-    } else if (scoped == "harvest.phase_ms") {
-      config.storage.harvest.phase =
-          sim::Duration::from_milliseconds(to_double(scoped, value));
-    } else if (scoped == "streaming.sample_rate_hz") {
-      config.streaming.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "streaming.payload_bytes") {
-      config.streaming.payload_bytes =
-          static_cast<std::size_t>(to_int(scoped, value));
-    } else if (scoped == "rpeak.sample_rate_hz") {
-      config.rpeak.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "ecg.heart_rate_bpm") {
-      config.ecg.heart_rate_bpm = to_double(scoped, value);
-    } else if (scoped == "eeg.channels") {
-      config.eeg.channels = static_cast<std::uint32_t>(to_int(scoped, value));
-      config.eeg_signal.channels = config.eeg.channels;
-    } else if (scoped == "eeg.sample_rate_hz") {
-      config.eeg.sample_rate_hz = to_double(scoped, value);
-    } else if (scoped == "eeg.block_samples") {
-      config.eeg.block_samples =
-          static_cast<std::uint32_t>(to_int(scoped, value));
-    } else if (scoped == "link.enabled") {
-      config.use_link_model = to_bool(scoped, value);
-    } else if (scoped == "link.tx_power_dbm") {
-      config.link_budget.tx_power_dbm = to_double(scoped, value);
-    } else if (scoped == "link.path_loss_exponent") {
-      config.link_budget.path_loss_exponent = to_double(scoped, value);
-    } else if (scoped == "link.shadowing_sigma_db") {
-      config.link_budget.shadowing_sigma_db = to_double(scoped, value);
-    } else {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": unknown key '" + scoped + "'");
+      return global != nullptr && global->parse(config, key, value, ctx);
+    });
+    if (!known) {
+      throw ConfigError("line " + std::to_string(line_no) + ": unknown key '" +
+                        ctx.name + "'");
     }
   }
 
-  if (static_cycle_ms > 0 && config.tdma.variant == mac::TdmaVariant::kStatic) {
-    config.tdma = [&] {
-      mac::TdmaConfig derived = config.tdma;
-      const auto plan = mac::TdmaConfig::static_plan(
-          sim::Duration::from_milliseconds(static_cycle_ms),
-          config.tdma.max_slots);
-      derived.slot = plan.slot;
-      return derived;
-    }();
+  if (ctx.static_cycle && config.tdma.variant == mac::TdmaVariant::kStatic) {
+    config.tdma.set_static_cycle(*ctx.static_cycle);
   }
 
   // Resolve the roster last so [node.K] overrides see the final globals no
   // matter where the sections appear in the file.
   if (max_node_index > 0) {
-    if (nodes_set && max_node_index > config.num_nodes) {
+    if (ctx.nodes_set && max_node_index > config.num_nodes) {
       throw ConfigError("[node." + std::to_string(max_node_index) +
                         "] exceeds network.nodes = " +
                         std::to_string(config.num_nodes));
     }
-    const std::size_t count =
-        nodes_set ? config.num_nodes : max_node_index;
-    config.roster.assign(count, NodeSpec{});
+    config.roster.assign(ctx.nodes_set ? config.num_nodes : max_node_index,
+                         NodeSpec{});
     for (const NodeAssignment& a : node_assignments) {
-      apply_node_key(config.roster[a.index - 1], config, a);
+      // `key` is the NodeSpec's own; `section.key` overrides a section's.
+      NodeSpec& spec = config.roster[a.index - 1];
+      const std::string_view key{a.key};
+      const auto dot = key.find('.');
+      const Section* s = dot == key.npos ? nullptr : t.find(key.substr(0, dot));
+      ctx.name = "node." + std::to_string(a.index) + "." + a.key;
+      if (!at_line(a.line_no, [&] {
+            return s ? s->parse_node(spec, key.substr(dot + 1), a.value, ctx)
+                     : parse_field(t.node, spec, key, a.value, ctx);
+          })) {
+        throw ConfigError("line " + std::to_string(a.line_no) +
+                          ": unknown key '" + ctx.name + "'");
+      }
     }
   }
 
-  for (const auto& [index, episode] : fault_episodes) {
-    config.fault_plan.episodes.push_back(episode);
+  for (const auto& [index, ep] : fault_episodes) {
+    config.fault_plan.episodes.push_back(ep);
   }
-  for (const auto& [index, event] : fault_events) {
-    config.fault_plan.events.push_back(event);
+  for (const auto& [index, ev] : fault_events) {
+    config.fault_plan.events.push_back(ev);
   }
 
   // Reject nonsense before it becomes a mysteriously-degenerate run.
-  if (const std::string problem = config.tdma.validate(); !problem.empty()) {
-    throw ConfigError("[tdma] " + problem);
-  }
+  const auto reject = [](const std::string& where, const std::string& why) {
+    if (!why.empty()) throw ConfigError(where + why);
+  };
+  reject("[tdma] ", config.tdma.validate());
   if (config.mac == MacKind::kCsmaCa) {
     try {
       config.csma.validate();
     } catch (const std::invalid_argument& e) {
-      throw ConfigError(std::string("[csma] ") + e.what());
+      reject("[csma] ", e.what());
     }
   }
-  if (const std::string problem = config.fault_plan.validate();
-      !problem.empty()) {
-    throw ConfigError(problem);
-  }
-  if (const std::string problem = config.storage.validate();
-      !problem.empty()) {
-    throw ConfigError(problem);
-  }
+  reject("", config.fault_plan.validate());
+  reject("", config.storage.validate());
   for (std::size_t i = 0; i < config.roster.size(); ++i) {
     if (!config.roster[i].storage) continue;
-    if (const std::string problem = config.roster[i].storage->validate();
-        !problem.empty()) {
-      throw ConfigError("[node." + std::to_string(i + 1) + "] " + problem);
-    }
+    reject("[node." + std::to_string(i + 1) + "] ",
+           config.roster[i].storage->validate());
   }
   return config;
 }
 
 std::string serialize_config(const BanConfig& config) {
-  std::ostringstream out;
-  out << "[network]\n";
-  out << "nodes = " << config.effective_nodes() << "\n";
-  out << "seed = " << config.seed << "\n";
-  out << "stagger_ms = " << config.stagger.to_milliseconds() << "\n";
-  out << "app = " << to_string(config.app) << "\n\n";
-
-  // [mac] only for non-default protocols: legacy TDMA configs round-trip
-  // byte-identically with or without the protocol seam.
-  if (config.mac != MacKind::kTdma) {
-    out << "[mac]\n";
-    out << "protocol = " << mac::to_string(config.protocol()) << "\n\n";
-  }
-
-  out << "[tdma]\n";
-  out << "variant = " << to_string(config.tdma.variant) << "\n";
-  if (config.tdma.variant == mac::TdmaVariant::kStatic) {
-    out << "cycle_ms = " << config.tdma.static_cycle().to_milliseconds()
-        << "\n";
-  }
-  out << "slot_ms = " << config.tdma.slot.to_milliseconds() << "\n";
-  out << "max_slots = " << static_cast<int>(config.tdma.max_slots) << "\n";
-  out << "guard_fixed_ms = " << config.tdma.guard_fixed.to_milliseconds()
-      << "\n";
-  out << "guard_fraction = " << config.tdma.guard_fraction << "\n";
-  out << "fast_grant = " << (config.tdma.fast_grant ? "true" : "false") << "\n";
-  out << "ack_data = " << (config.tdma.ack_data ? "true" : "false") << "\n";
-  out << "max_retries = " << static_cast<int>(config.tdma.max_retries) << "\n";
-  out << "radio_power_down = "
-      << (config.tdma.radio_power_down ? "true" : "false") << "\n";
-  out << "reclaim_after_cycles = " << config.tdma.reclaim_after_cycles
-      << "\n";
-  out << "missed_beacon_limit = "
-      << static_cast<int>(config.tdma.missed_beacon_limit) << "\n";
-  out << "tx_queue_cap = " << config.tdma.tx_queue_cap << "\n";
-  out << "search_listen_ms = " << config.tdma.search_listen.to_milliseconds()
-      << "\n";
-  out << "search_backoff_base_ms = "
-      << config.tdma.search_backoff_base.to_milliseconds() << "\n";
-  out << "search_backoff_factor = " << config.tdma.search_backoff_factor
-      << "\n";
-  out << "search_backoff_max_ms = "
-      << config.tdma.search_backoff_max.to_milliseconds() << "\n\n";
-
-  if (config.mac == MacKind::kAloha) {
-    out << "[aloha]\n";
-    out << "initial_dither_ms = "
-        << config.aloha.initial_dither.to_milliseconds() << "\n";
-    out << "ack_data = " << (config.aloha.ack_data ? "true" : "false")
-        << "\n";
-    out << "ack_wait_ms = " << config.aloha.ack_wait.to_milliseconds()
-        << "\n";
-    out << "max_retries = " << static_cast<int>(config.aloha.max_retries)
-        << "\n";
-    out << "backoff_base_ms = "
-        << config.aloha.backoff_base.to_milliseconds() << "\n\n";
-  }
-  if (config.mac == MacKind::kCsmaCa) {
-    out << "[csma]\n";
-    out << "pan_id = " << config.csma.pan_id << "\n";
-    out << "cycle_ms = " << config.csma.cycle.to_milliseconds() << "\n";
-    out << "backoff_unit_us = "
-        << config.csma.backoff_unit.to_microseconds() << "\n";
-    out << "min_be = " << static_cast<int>(config.csma.min_be) << "\n";
-    out << "max_be = " << static_cast<int>(config.csma.max_be) << "\n";
-    out << "max_backoffs = " << static_cast<int>(config.csma.max_backoffs)
-        << "\n";
-    out << "cca_us = " << config.csma.cca.to_microseconds() << "\n";
-    out << "ack_data = " << (config.csma.ack_data ? "true" : "false") << "\n";
-    out << "ack_wait_ms = " << config.csma.ack_wait.to_milliseconds() << "\n";
-    out << "max_retries = " << static_cast<int>(config.csma.max_retries)
-        << "\n";
-    out << "gts_slots = " << static_cast<int>(config.csma.gts_slots) << "\n";
-    out << "gts_slot_ms = " << config.csma.gts_slot.to_milliseconds() << "\n";
-    out << "guard_fixed_ms = " << config.csma.guard_fixed.to_milliseconds()
-        << "\n";
-    out << "guard_fraction = " << config.csma.guard_fraction << "\n";
-    out << "missed_beacon_limit = "
-        << static_cast<int>(config.csma.missed_beacon_limit) << "\n";
-    out << "beacon_timeout_margin_us = "
-        << config.csma.beacon_timeout_margin.to_microseconds() << "\n";
-    out << "tx_queue_cap = " << config.csma.tx_queue_cap << "\n\n";
-  }
-
-  out << "[streaming]\n";
-  out << "sample_rate_hz = " << config.streaming.sample_rate_hz << "\n";
-  out << "payload_bytes = " << config.streaming.payload_bytes << "\n\n";
-
-  out << "[rpeak]\n";
-  out << "sample_rate_hz = " << config.rpeak.sample_rate_hz << "\n\n";
-
-  out << "[ecg]\n";
-  out << "heart_rate_bpm = " << config.ecg.heart_rate_bpm << "\n\n";
-
-  out << "[eeg]\n";
-  out << "channels = " << config.eeg.channels << "\n";
-  out << "sample_rate_hz = " << config.eeg.sample_rate_hz << "\n";
-  out << "block_samples = " << config.eeg.block_samples << "\n\n";
-
-  out << "[link]\n";
-  out << "enabled = " << (config.use_link_model ? "true" : "false") << "\n";
-  out << "tx_power_dbm = " << config.link_budget.tx_power_dbm << "\n";
-  out << "path_loss_exponent = " << config.link_budget.path_loss_exponent
-      << "\n";
-  out << "shadowing_sigma_db = " << config.link_budget.shadowing_sigma_db
-      << "\n";
-
-  // Fault sections only when a plan is carried: fault-free configs
-  // round-trip to byte-identical text with or without the fault subsystem.
-  const fault::FaultPlan& plan = config.fault_plan;
-  if (plan.enabled) {
-    out << "\n[fault]\n";
-    out << "enabled = true\n";
-    if (plan.fade.enabled) {
-      out << "\n[fault.fade]\n";
-      out << "enabled = true\n";
-      out << "p_enter = " << plan.fade.p_enter << "\n";
-      out << "p_exit = " << plan.fade.p_exit << "\n";
-      out << "step_ms = " << plan.fade.step.to_milliseconds() << "\n";
-      out << "extra_loss_db = " << plan.fade.extra_loss_db << "\n";
-      out << "fer = " << plan.fade.fer << "\n";
-    }
-    if (plan.interferer.enabled) {
-      out << "\n[fault.interferer]\n";
-      out << "enabled = true\n";
-      out << "period_ms = " << plan.interferer.period.to_milliseconds()
-          << "\n";
-      out << "burst_ms = " << plan.interferer.burst.to_milliseconds() << "\n";
-      out << "fer = " << plan.interferer.fer << "\n";
-    }
-    if (plan.crashes.enabled) {
-      out << "\n[fault.crashes]\n";
-      out << "enabled = true\n";
-      out << "rate_hz = " << plan.crashes.rate_hz << "\n";
-      out << "check_ms = " << plan.crashes.check.to_milliseconds() << "\n";
-      out << "min_down_ms = " << plan.crashes.min_down.to_milliseconds()
-          << "\n";
-      out << "max_down_ms = " << plan.crashes.max_down.to_milliseconds()
-          << "\n";
-    }
-    if (plan.brownout.enabled) {
-      out << "\n[fault.brownout]\n";
-      out << "enabled = true\n";
-      out << "capacity_mah = " << plan.brownout.capacity_mah << "\n";
-      out << "esr_ohms = " << plan.brownout.esr_ohms << "\n";
-      out << "brownout_volts = " << plan.brownout.brownout_volts << "\n";
-      out << "check_ms = " << plan.brownout.check.to_milliseconds() << "\n";
-      out << "recovery_ms = " << plan.brownout.recovery.to_milliseconds()
-          << "\n";
-    }
-    for (std::size_t i = 0; i < plan.episodes.size(); ++i) {
-      const fault::ShadowEpisode& ep = plan.episodes[i];
-      out << "\n[fault.episode." << (i + 1) << "]\n";
-      out << "node = " << ep.node << "\n";
-      out << "start_ms = " << ep.start.since_epoch().to_milliseconds() << "\n";
-      out << "duration_ms = " << ep.duration.to_milliseconds() << "\n";
-      out << "extra_loss_db = " << ep.extra_loss_db << "\n";
-      out << "fer = " << ep.fer << "\n";
-    }
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      const fault::FaultEvent& ev = plan.events[i];
-      out << "\n[fault.event." << (i + 1) << "]\n";
-      out << "kind = " << fault::to_string(ev.kind) << "\n";
-      out << "node = " << ev.node << "\n";
-      out << "at_ms = " << ev.at.since_epoch().to_milliseconds() << "\n";
-      if (ev.kind == fault::FaultKind::kCrash) {
-        out << "down_ms = " << ev.down.to_milliseconds() << "\n";
-      }
-      if (ev.kind == fault::FaultKind::kSkewStep) {
-        out << "skew_delta = " << ev.skew_delta << "\n";
-      }
-    }
-  }
-
-  // Storage sections only when a store is carried, for the same reason the
-  // fault sections are conditional: legacy configs round-trip byte-for-byte.
-  const hw::StorageParams& storage = config.storage;
-  if (storage.enabled) {
-    out << "\n[storage]\n";
-    out << "enabled = true\n";
-    out << "kind = " << hw::to_string(storage.kind) << "\n";
-    out << "check_ms = " << storage.check.to_milliseconds() << "\n";
-    if (storage.kind == hw::StorageKind::kBattery) {
-      out << "\n[battery]\n";
-      out << "capacity_mah = " << storage.battery.capacity_mah << "\n";
-      out << "nominal_volts = " << storage.battery.nominal_volts << "\n";
-      out << "full_volts = " << storage.battery.full_volts << "\n";
-      out << "empty_volts = " << storage.battery.empty_volts << "\n";
-      out << "dead_volts = " << storage.battery.dead_volts << "\n";
-      out << "rated_c = " << storage.battery.rated_c << "\n";
-      out << "peukert_exponent = " << storage.battery.peukert_exponent
-          << "\n";
-    } else {
-      out << "\n[capacitor]\n";
-      out << "capacitance_f = " << storage.capacitor.capacitance_farads
-          << "\n";
-      out << "full_volts = " << storage.capacitor.full_volts << "\n";
-      out << "turnoff_volts = " << storage.capacitor.turnoff_volts << "\n";
-      out << "turnon_volts = " << storage.capacitor.turnon_volts << "\n";
-    }
-    if (storage.harvest.enabled) {
-      out << "\n[harvest]\n";
-      out << "enabled = true\n";
-      out << "profile = " << hw::to_string(storage.harvest.profile) << "\n";
-      out << "watts = " << storage.harvest.watts << "\n";
-      out << "floor_watts = " << storage.harvest.floor_watts << "\n";
-      out << "period_ms = " << storage.harvest.period.to_milliseconds()
-          << "\n";
-      out << "duty = " << storage.harvest.duty << "\n";
-      out << "phase_ms = " << storage.harvest.phase.to_milliseconds() << "\n";
-    }
-  }
-
+  const Table& t = table();
+  std::string out;
+  for (const Section* s : t.sections) s->emit(out, config);
   for (std::size_t i = 0; i < config.roster.size(); ++i) {
     const NodeSpec& spec = config.roster[i];
-    out << "\n[node." << (i + 1) << "]\n";
-    if (spec.app) out << "app = " << to_string(*spec.app) << "\n";
-    if (spec.address != 0) out << "address = " << spec.address << "\n";
-    if (spec.clock_skew) out << "clock_skew = " << *spec.clock_skew << "\n";
-    if (spec.boot_offset) {
-      out << "boot_ms = " << spec.boot_offset->to_milliseconds() << "\n";
-    }
-    if (spec.fidelity) out << "fidelity = " << to_string(*spec.fidelity) << "\n";
-    if (spec.csma_gts) {
-      out << "csma_gts = " << (*spec.csma_gts ? "true" : "false") << "\n";
-    }
-    if (spec.streaming) {
-      out << "streaming.sample_rate_hz = " << spec.streaming->sample_rate_hz
-          << "\n";
-      out << "streaming.payload_bytes = " << spec.streaming->payload_bytes
-          << "\n";
-    }
-    if (spec.rpeak) {
-      out << "rpeak.sample_rate_hz = " << spec.rpeak->sample_rate_hz << "\n";
-    }
-    if (spec.ecg) {
-      out << "ecg.heart_rate_bpm = " << spec.ecg->heart_rate_bpm << "\n";
-    }
-    if (spec.storage) {
-      out << "storage.enabled = "
-          << (spec.storage->enabled ? "true" : "false") << "\n";
-      out << "storage.kind = " << hw::to_string(spec.storage->kind) << "\n";
-      if (spec.storage->kind == hw::StorageKind::kBattery) {
-        out << "battery.capacity_mah = " << spec.storage->battery.capacity_mah
-            << "\n";
-      } else {
-        out << "capacitor.capacitance_f = "
-            << spec.storage->capacitor.capacitance_farads << "\n";
-      }
-      if (spec.storage->harvest.enabled) {
-        out << "harvest.enabled = true\n";
-        out << "harvest.watts = " << spec.storage->harvest.watts << "\n";
-      }
-    }
+    header(out, "node." + std::to_string(i + 1));
+    emit_fields(out, t.node, spec);
+    for (const Section* s : t.sections) s->emit_node(out, spec);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace bansim::core

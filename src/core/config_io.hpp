@@ -1,35 +1,15 @@
 // Experiment-configuration serialization (INI-style).
 //
-// Lets scenarios live in version-controlled text files instead of C++:
+// Lets scenarios live in version-controlled text files instead of C++
+// (README "Scenario config files" lists every section and key):
 //
 //   [network]
 //   nodes = 5
-//   seed = 42
 //   app = ecg_streaming        ; none | ecg_streaming | rpeak | eeg_monitoring
-//
-//   [mac]
-//   protocol = static_tdma     ; static_tdma | dynamic_tdma | aloha | csma_ca
 //
 //   [tdma]
 //   variant = static           ; static | dynamic
 //   cycle_ms = 30              ; static: full cycle (slot derived)
-//   slot_ms = 10               ; dynamic: slot width
-//   ack_data = false
-//   fast_grant = true
-//   radio_power_down = false
-//
-//   ; [aloha] / [csma] configure the contention protocols; read whenever
-//   ; present, only consulted when [mac] protocol selects them.
-//   [csma]
-//   cycle_ms = 30
-//   gts_slots = 2
-//
-//   [streaming]
-//   sample_rate_hz = 205
-//
-//   [link]
-//   enabled = false
-//   tx_power_dbm = -5
 //
 //   ; Optional per-node overrides (1-based index).  Any [node.K] section
 //   ; switches the network to roster mode: node K starts from the global
@@ -38,9 +18,14 @@
 //   app = rpeak
 //   rpeak.sample_rate_hz = 250
 //
-// Unknown keys and unknown enum tokens are reported as hard errors, with
-// the offending token named, so typos do not silently become defaults.
-// parse/serialize round-trip.
+// Every key is one row of a static field table in config_io.cpp: section,
+// key, the member it reaches, a codec picked by the member's type, and an
+// optional emit-when predicate.  parse_config and serialize_config are two
+// loops over that table, so a new knob is one new row.  serialize -> parse
+// is exact (doubles are written with as many digits as they need) and the
+// text is a fixpoint of parse + serialize.  Unknown keys, unknown enum
+// tokens and integers the field cannot hold are hard errors naming the
+// line and the offending key or token, so typos never become defaults.
 #pragma once
 
 #include <stdexcept>

@@ -123,6 +123,13 @@ struct TdmaConfig {
     return guard_fixed + cycle.scaled(guard_fraction);
   }
 
+  /// Static variant: re-derives the slot width so that the beacon slot
+  /// plus `max_slots` data slots span `cycle`.  Every other field is kept,
+  /// so a cycle override never resets guards, retries or queue bounds.
+  void set_static_cycle(sim::Duration cycle) {
+    slot = cycle / (1 + static_cast<std::int64_t>(max_slots));
+  }
+
   /// Convenience: a static-TDMA plan with `data_slots` slots fitting a
   /// target cycle length (the paper states cycles, e.g. 30 ms for 5 nodes).
   [[nodiscard]] static TdmaConfig static_plan(sim::Duration cycle,
@@ -130,7 +137,7 @@ struct TdmaConfig {
     TdmaConfig cfg;
     cfg.variant = TdmaVariant::kStatic;
     cfg.max_slots = data_slots;
-    cfg.slot = cycle / (1 + static_cast<std::int64_t>(data_slots));
+    cfg.set_static_cycle(cycle);
     return cfg;
   }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/scenario_fuzzer.hpp"
 #include "core/experiment.hpp"
 #include "core/paper_experiments.hpp"
 
@@ -95,6 +97,79 @@ TEST(ConfigIo, MalformedValuesAreErrors) {
   EXPECT_THROW(parse_config("[network]\napp = tetris\n"), ConfigError);
   EXPECT_THROW(parse_config("[network\nnodes = 5\n"), ConfigError);
   EXPECT_THROW(parse_config("nodes 5\n"), ConfigError);
+  EXPECT_THROW(parse_config("[tdma]\nmax_slots = 260\n"), ConfigError);
+  EXPECT_THROW(parse_config("[network]\nnodes = -3\n"), ConfigError);
+  EXPECT_THROW(parse_config("[tdma]\ntx_queue_cap = -1\n"), ConfigError);
+  EXPECT_THROW(parse_config("[node.1]\naddress = 65537\n"), ConfigError);
+}
+
+TEST(ConfigIo, IntegerErrorsNameTheKeyAndValue) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"[tdma]\nmax_slots = 260\n", "tdma.max_slots: 260"},
+      {"[network]\nnodes = -3\n", "network.nodes: -3"},
+      {"[tdma]\ntx_queue_cap = -1\n", "tdma.tx_queue_cap: -1"},
+      {"[node.1]\naddress = 65537\n", "node.1.address: 65537"},
+      {"[network]\nseed = 18446744073709551616\n",
+       "network.seed: 18446744073709551616"},
+  };
+  for (const auto& [text, named] : cases) {
+    try {
+      (void)parse_config(text);
+      ADD_FAILURE() << "expected ConfigError for " << text;
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(named), std::string::npos) << what;
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ConfigIo, SeedsSpanTheFullUint64Range) {
+  // Population patient seeds are 64-bit hashes.
+  EXPECT_EQ(parse_config("[network]\nseed = 0x9E3779B97F4A7C15\n").seed,
+            0x9E3779B97F4A7C15u);
+  for (const std::uint64_t seed :
+       {std::uint64_t{0x9E3779B97F4A7C15}, UINT64_MAX}) {
+    BanConfig cfg;
+    cfg.seed = seed;
+    EXPECT_EQ(parse_config(serialize_config(cfg)).seed, seed);
+  }
+}
+
+TEST(ConfigIo, PanIdAndAddressOffsetRoundTrip) {
+  BanConfig cfg;
+  cfg.tdma.pan_id = 3;
+  cfg.address_offset = 0x40;
+  const BanConfig back = parse_config(serialize_config(cfg));
+  EXPECT_EQ(back.tdma.pan_id, 3);
+  EXPECT_EQ(back.address_offset, 0x40);
+  // Both stay out of the text at their defaults.
+  const std::string plain = serialize_config(BanConfig{});
+  EXPECT_EQ(plain.find("pan_id"), std::string::npos);
+  EXPECT_EQ(plain.find("address_offset"), std::string::npos);
+  EXPECT_THROW(parse_config("[tdma]\npan_id = 256\n"), ConfigError);
+}
+
+TEST(ConfigIo, CycleChangeKeepsOtherTdmaFields) {
+  BanConfig cfg = parse_config(R"(
+    [tdma]
+    variant = static
+    max_slots = 5
+    cycle_ms = 30
+    max_retries = 6
+    guard_fraction = 0.02
+    tx_queue_cap = 3
+    pan_id = 2
+  )");
+  EXPECT_EQ(cfg.tdma.slot, 5_ms);
+  cfg.tdma.set_static_cycle(60_ms);
+  EXPECT_EQ(cfg.tdma.slot, 10_ms);
+  EXPECT_EQ(cfg.tdma.static_cycle(), 60_ms);
+  EXPECT_EQ(cfg.tdma.max_slots, 5);
+  EXPECT_EQ(cfg.tdma.max_retries, 6);
+  EXPECT_DOUBLE_EQ(cfg.tdma.guard_fraction, 0.02);
+  EXPECT_EQ(cfg.tdma.tx_queue_cap, 3u);
+  EXPECT_EQ(cfg.tdma.pan_id, 2);
 }
 
 TEST(ConfigIo, CommentsAndWhitespaceTolerated) {
@@ -520,6 +595,37 @@ TEST(ConfigIo, StorageValidationErrors) {
   // Unknown storage keys are hard errors like everywhere else.
   EXPECT_THROW(parse_config("[storage]\nvolts = 3\n"), ConfigError);
   EXPECT_THROW(parse_config("[harvest]\nprofile = triangle\n"), ConfigError);
+}
+
+std::vector<double> energies_after(const BanConfig& config,
+                                   sim::Duration horizon) {
+  BanNetwork network{config};
+  network.start();
+  network.run_until(sim::TimePoint::zero() + horizon);
+  std::vector<double> flat;
+  for (const auto& node : network.energy_snapshot()) {
+    for (const auto& component : node.components) {
+      flat.push_back(component.joules);
+      for (const auto& [state, joules] : component.per_state) {
+        flat.push_back(joules);
+      }
+    }
+  }
+  return flat;
+}
+
+TEST(ConfigIo, FuzzConfigsReplayExactly) {
+  // A fuzzer failure dumped as INI must replay the very same cell: the
+  // text is a fixpoint of parse + serialize, and the re-parsed config runs
+  // to bit-identical per-node energies.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+    const BanConfig original = check::make_fuzz_config(seed);
+    const std::string text = serialize_config(original);
+    const BanConfig replay = parse_config(text);
+    ASSERT_EQ(serialize_config(replay), text);
+    EXPECT_EQ(energies_after(replay, 2_s), energies_after(original, 2_s));
+  }
 }
 
 // --- Golden serialization pins -------------------------------------------
