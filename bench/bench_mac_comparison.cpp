@@ -17,11 +17,10 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
+#include "sim/rng.hpp"
 #include "sim/scenario_runner.hpp"
 
 namespace {
@@ -32,52 +31,31 @@ using sim::TimePoint;
 
 struct MacResult {
   double radio_mj_per_min{0};
-  double delivery{0};  ///< unique payloads delivered / generated
+  double delivery{0};  ///< share of node 0's payloads neither shed nor queued
   std::uint64_t events{0};
 };
 
-MacResult run_aloha(int interval_ms, double seconds) {
-  core::AlohaNetworkConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.payload_interval = Duration::milliseconds(interval_ms);
-  cfg.seed = 5;
-  core::AlohaNetwork net{cfg};
-  net.start();
-  net.run_until(TimePoint::zero() + Duration::from_seconds(seconds));
-
-  std::uint64_t generated = 0, lost = 0, queued = 0;
-  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    generated += net.payloads_generated(i);
-    lost += net.node_mac(i).stats().retry_drops +
-            net.node_mac(i).stats().payloads_dropped;
-    queued += net.node_mac(i).queue_depth();
-  }
-  MacResult result;
-  const double joules = net.node_board(0).radio().meter().total_energy(
-      net.simulator().now());
-  result.radio_mj_per_min = joules * 1e3 * 60.0 / seconds;
-  result.delivery =
-      generated > 0 ? 1.0 - static_cast<double>(lost + queued) /
-                                static_cast<double>(generated)
-                    : 0.0;
-  result.events = net.simulator().events_executed();
-  return result;
-}
-
-MacResult run_tdma(int interval_ms, double seconds) {
-  // TDMA carries the same offered load from the same lightweight payload
-  // generator ALOHA uses (no sampling app — this is a MAC-layer contest).
-  // Its natural operating point couples the cycle to the interval; the
-  // cycle floor (one slot wide enough for a burst) caps its capacity.
+/// One 5-node cell of `kind` carrying a fixed-rate payload generator (no
+/// sampling app — this is a MAC-layer contest) from join onwards; node 0 is
+/// the measured node.
+MacResult run_mac(core::MacKind kind, int interval_ms, double seconds) {
   core::BanConfig cfg;
   cfg.num_nodes = 5;
-  // 30 ms is the shortest cycle whose guard window stays clear of the
-  // last data slot; beyond that offered load, TDMA saturates at one frame
-  // per cycle and sheds the excess from the queue.
-  const int cycle_ms = std::max(30, interval_ms);
-  cfg.tdma = mac::TdmaConfig::static_plan(Duration::milliseconds(cycle_ms), 5);
+  cfg.mac = kind;
   cfg.app = core::AppKind::kNone;
   cfg.seed = 5;
+  if (kind == core::MacKind::kTdma) {
+    // TDMA's natural operating point couples the cycle to the interval.
+    // 30 ms is the shortest cycle whose guard window stays clear of the
+    // last data slot; beyond that offered load, TDMA saturates at one
+    // frame per cycle and sheds the excess from the queue.
+    const int cycle_ms = std::max(30, interval_ms);
+    cfg.tdma =
+        mac::TdmaConfig::static_plan(Duration::milliseconds(cycle_ms), 5);
+  }
+  // Slotted CSMA/CA keeps the default superframe geometry (30 ms beacons,
+  // CAP only — no GTS) so the contention path itself is what the sweep
+  // measures; ALOHA has no association and counts as joined once booted.
   core::BanNetwork net{cfg};
   net.start();
   if (!net.run_until_joined(Duration::seconds(1),
@@ -85,22 +63,31 @@ MacResult run_tdma(int interval_ms, double seconds) {
     return {};
   }
   const TimePoint t0 = net.simulator().now();
+  mac::NodeMacBase& focus = net.node(0).mac_base();
   const double radio_before =
       net.node(0).board().radio().meter().total_energy(t0);
+  const mac::MacStatsSnapshot before = focus.stats_snapshot();
 
-  // Fixed-rate generator per node, on the simulator clock.
+  // Fixed-rate generator per node on the node's own (skewed) timer, each
+  // node starting at its own phase inside the first interval: independent
+  // sensors, not a synchronized burst every interval.
+  const Duration interval = Duration::milliseconds(interval_ms);
+  sim::Rng phase_rng = sim::Rng::stream(cfg.seed, "bench/phase");
   std::uint64_t generated0 = 0;
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&net, i, tick, interval_ms, &generated0] {
-      if (i == 0) ++generated0;
-      net.node(i).mac().queue_payload(std::vector<std::uint8_t>(18, 0xEC));
-      net.simulator().schedule_in(Duration::milliseconds(interval_ms),
-                                  *tick);
-    };
-    net.simulator().schedule_in(Duration::milliseconds(interval_ms), *tick);
+    core::SensorNode* node = &net.node(i);
+    std::uint64_t* count = i == 0 ? &generated0 : nullptr;
+    const Duration phase = Duration::from_seconds(
+        phase_rng.uniform(0.0, interval.to_seconds()));
+    net.simulator().schedule_in(phase, [node, count, interval] {
+      node->node_os().timers().start_periodic(
+          "app.generate", interval, [node, count] {
+            if (count != nullptr) ++*count;
+            node->mac_base().queue_payload(
+                std::vector<std::uint8_t>(18, 0xEC));
+          });
+    });
   }
-  const auto sent_before = net.node(0).mac().stats().data_sent;
   net.run_until(t0 + Duration::from_seconds(seconds));
 
   MacResult result;
@@ -108,60 +95,15 @@ MacResult run_tdma(int interval_ms, double seconds) {
                             net.simulator().now()) -
                         radio_before;
   result.radio_mj_per_min = joules * 1e3 * 60.0 / seconds;
-  const auto sent = net.node(0).mac().stats().data_sent - sent_before;
+  // Delivered = generated minus what the MAC shed (queue overflow, retry
+  // exhaustion) minus what is still queued.
+  const mac::MacStatsSnapshot after = focus.stats_snapshot();
+  const std::uint64_t lost =
+      (after.payloads_dropped - before.payloads_dropped) +
+      (after.retry_drops - before.retry_drops) + focus.queue_depth();
   result.delivery =
-      generated0 > 0 ? std::min(1.0, static_cast<double>(sent) /
-                                         static_cast<double>(generated0))
-                     : 1.0;
-  result.events = net.simulator().events_executed();
-  return result;
-}
-
-MacResult run_csma(int interval_ms, double seconds) {
-  // Slotted CSMA/CA through the same mac::NodeMacBase seam TDMA uses,
-  // carrying the identical fixed-rate generator.  Default superframe
-  // geometry (30 ms beacons, CAP only — no GTS) so the contention path
-  // itself is what the sweep measures.
-  core::BanConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.mac = core::MacKind::kCsmaCa;
-  cfg.app = core::AppKind::kNone;
-  cfg.seed = 5;
-  core::BanNetwork net{cfg};
-  net.start();
-  if (!net.run_until_joined(Duration::seconds(1),
-                            TimePoint::zero() + Duration::seconds(30))) {
-    return {};
-  }
-  const TimePoint t0 = net.simulator().now();
-  const double radio_before =
-      net.node(0).board().radio().meter().total_energy(t0);
-
-  std::uint64_t generated0 = 0;
-  for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&net, i, tick, interval_ms, &generated0] {
-      if (i == 0) ++generated0;
-      net.node(i).mac_base().queue_payload(
-          std::vector<std::uint8_t>(18, 0xEC));
-      net.simulator().schedule_in(Duration::milliseconds(interval_ms),
-                                  *tick);
-    };
-    net.simulator().schedule_in(Duration::milliseconds(interval_ms), *tick);
-  }
-  const auto sent_before = net.node(0).mac_base().stats_snapshot().data_sent;
-  net.run_until(t0 + Duration::from_seconds(seconds));
-
-  MacResult result;
-  const double joules = net.node(0).board().radio().meter().total_energy(
-                            net.simulator().now()) -
-                        radio_before;
-  result.radio_mj_per_min = joules * 1e3 * 60.0 / seconds;
-  const auto sent =
-      net.node(0).mac_base().stats_snapshot().data_sent - sent_before;
-  result.delivery =
-      generated0 > 0 ? std::min(1.0, static_cast<double>(sent) /
-                                         static_cast<double>(generated0))
+      generated0 > 0 ? 1.0 - static_cast<double>(std::min(lost, generated0)) /
+                                 static_cast<double>(generated0)
                      : 1.0;
   result.events = net.simulator().events_executed();
   return result;
@@ -182,9 +124,12 @@ void print_reproduction(unsigned jobs) {
   const std::vector<int> intervals = {200, 100, 60, 30, 12, 6};
   std::vector<std::function<MacResult()>> scenarios;
   for (const int interval_ms : intervals) {
-    scenarios.push_back([interval_ms] { return run_tdma(interval_ms, 30.0); });
-    scenarios.push_back([interval_ms] { return run_csma(interval_ms, 30.0); });
-    scenarios.push_back([interval_ms] { return run_aloha(interval_ms, 30.0); });
+    for (const core::MacKind kind : {core::MacKind::kTdma,
+                                     core::MacKind::kCsmaCa,
+                                     core::MacKind::kAloha}) {
+      scenarios.push_back(
+          [kind, interval_ms] { return run_mac(kind, interval_ms, 30.0); });
+    }
   }
   sim::ScenarioRunner runner{jobs};
   const auto results = runner.run(scenarios);
@@ -217,28 +162,25 @@ void print_reproduction(unsigned jobs) {
       "the paper's design choice.)\n\n");
 }
 
-void BM_TdmaPoint(benchmark::State& state) {
+// One 10 s point per protocol; the names are the series BENCH_mac.json
+// tracks (scripts/bench_mac.sh).
+void mac_point(benchmark::State& state, core::MacKind kind) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        run_tdma(static_cast<int>(state.range(0)), 10.0));
+        run_mac(kind, static_cast<int>(state.range(0)), 10.0));
   }
+}
+void BM_TdmaPoint(benchmark::State& state) {
+  mac_point(state, core::MacKind::kTdma);
+}
+void BM_CsmaPoint(benchmark::State& state) {
+  mac_point(state, core::MacKind::kCsmaCa);
+}
+void BM_AlohaPoint(benchmark::State& state) {
+  mac_point(state, core::MacKind::kAloha);
 }
 BENCHMARK(BM_TdmaPoint)->Arg(60)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_CsmaPoint(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_csma(static_cast<int>(state.range(0)), 10.0));
-  }
-}
 BENCHMARK(BM_CsmaPoint)->Arg(60)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_AlohaPoint(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_aloha(static_cast<int>(state.range(0)), 10.0));
-  }
-}
 BENCHMARK(BM_AlohaPoint)->Arg(60)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace

@@ -4,9 +4,10 @@
 # ASan/UBSan build of the memory-sensitive regression surfaces
 # (fragment reassembly, energy-meter bounds, event-queue slot arena +
 # inline-callback closures, simulator loop, scenario runner,
-# heterogeneous-roster BAN composition, invariant monitor, the config
-# field table's parser and serializer, and the campaign
-# watchdog/quarantine battery) plus a small sanitized fuzz run,
+# heterogeneous-roster BAN composition, multi-cell ownership and the
+# network builder, invariant monitor, the config field table's parser
+# and serializer, and the campaign watchdog/quarantine battery) plus a
+# small sanitized fuzz run,
 # CLI-level kill+resume and poison-shard quarantine smokes, then a
 # Release build of the kernel bench as a smoke test so the bench targets
 # can't bitrot silently.
@@ -31,6 +32,7 @@ fi
 echo "== tier 1: ASan/UBSan regression subset =="
 sanitize_tests=(test_delta_fragment test_energy_meter test_event_queue
                 test_simulator test_scenario_runner test_heterogeneous_ban
+                test_coexistence test_network_builder
                 test_invariant_monitor test_fault_campaigns test_battery
                 test_energy_store test_lifetime test_population
                 test_config_io test_campaign_store

@@ -60,34 +60,27 @@ InvariantMonitor::~InvariantMonitor() {
 
 void InvariantMonitor::watch_network(core::BanNetwork& network) {
   watch_channel(network.channel());
-  const core::BanConfig& config = network.config();
-  std::uint8_t pan = 0;
-  switch (config.mac) {
-    case core::MacKind::kTdma:
-      pan = config.tdma.pan_id;
-      break;
-    case core::MacKind::kCsmaCa:
-      pan = static_cast<std::uint8_t>(config.csma.pan_id);
-      break;
-    case core::MacKind::kAloha:
-      pan = 0;  // no PAN concept; every aloha radio shares tag 0
-      break;
-  }
-  watch_board(network.base_station_board(), pan);
-  switch (config.mac) {
-    case core::MacKind::kTdma:
-      watch_cell(network.base_station_mac(), config.effective_nodes(),
-                 config.tdma);
-      break;
-    case core::MacKind::kCsmaCa:
-      watch_contention_cell(pan, mac::Protocol::kCsmaCa, config.csma);
-      break;
-    case core::MacKind::kAloha:
-      watch_contention_cell(pan, mac::Protocol::kAloha);
-      break;
-  }
-  for (std::size_t i = 0; i < network.num_nodes(); ++i) {
-    watch_board(network.node(i).board(), pan);
+  for (std::size_t c = 0; c < network.num_cells(); ++c) {
+    core::BanCell& cell = network.cell(c);
+    const core::BanConfig& config = cell.config();
+    // ALOHA has no PAN concept; its radios share tag 0.
+    const std::uint8_t pan = config.pan();
+    watch_board(cell.base_station_board(), pan);
+    switch (config.mac) {
+      case core::MacKind::kTdma:
+        watch_cell(cell.base_station_mac(), config.effective_nodes(),
+                   config.tdma);
+        break;
+      case core::MacKind::kCsmaCa:
+        watch_contention_cell(pan, mac::Protocol::kCsmaCa, config.csma);
+        break;
+      case core::MacKind::kAloha:
+        watch_contention_cell(pan, mac::Protocol::kAloha);
+        break;
+    }
+    for (std::size_t i = 0; i < cell.num_nodes(); ++i) {
+      watch_board(cell.node(i).board(), pan);
+    }
   }
   if (const fault::StorageDriver* driver = network.storage_driver()) {
     watch_storage(*driver);

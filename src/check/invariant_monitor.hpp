@@ -86,8 +86,9 @@ class InvariantMonitor final : public sim::CheckHooks {
 
   // --- Registration (call before the network starts running) ---------------
 
-  /// Watches everything in one BanNetwork: channel, cell slot table, and
-  /// every board's radio/MCU state machines and energy meters.
+  /// Watches everything in one BanNetwork: the channel, every cell's slot
+  /// table or contention PAN, every board's radio/MCU state machines and
+  /// energy meters, and the storage driver.
   void watch_network(core::BanNetwork& network);
 
   void watch_channel(const phy::Channel& channel);

@@ -1,27 +1,29 @@
-// BAN construction: a base station plus N biopotential sensor nodes on a
-// shared wireless channel — the paper's 5-node validation network in one
-// object.  This is the primary entry point of the library's public API.
+// BAN construction: one or more cells — a base station plus N biopotential
+// sensor nodes each — on one shared wireless channel.  The paper's 5-node
+// validation network is one cell; co-located cells (two monitored patients
+// side by side) share the channel, so beacons and data of one cell are
+// overheard by, and collide with, the other while the MAC's PAN filter
+// keeps them logically separate.  This is the primary entry point of the
+// library's public API.
 //
-// Node composition is delegated to core::NetworkBuilder: BanConfig's
-// network-wide fields are the defaults, and the optional `roster` of
-// NodeSpec entries overrides them per node, so one BAN can mix ECG
-// streamers, R-peak detectors and EEG monitors (a heterogeneous ward
-// network) without any wiring changes here.
+// Each cell is composed by core::NetworkBuilder from its BanConfig and
+// gets the same wiring (data handler, EEG collectors, R-peak beat
+// decoding, storage-driver registration).  The single-cell accessors
+// (node(i), base_station*(), energy_snapshot(), config(), ...) address
+// cell 0; cell(c) reaches every cell.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "apps/base_station_app.hpp"
+#include "core/ban_config.hpp"
 #include "core/network_builder.hpp"
-#include "core/node_spec.hpp"
 #include "core/node_stack.hpp"
 #include "energy/energy_report.hpp"
 #include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/storage_driver.hpp"
 #include "phy/channel.hpp"
 #include "phy/link_model.hpp"
@@ -33,94 +35,24 @@ namespace bansim::core {
 /// alias.
 using SensorNode = NodeStack;
 
-struct BanConfig {
-  /// Node count for a homogeneous network; ignored when `roster` is
-  /// non-empty (the roster length wins).
-  std::size_t num_nodes{5};
-  /// MAC protocol for the whole cell ([mac] protocol in config files).
-  /// kTdma reads `tdma` (variant selects static/dynamic), kCsmaCa reads
-  /// `csma`, kAloha reads `aloha`.
-  MacKind mac{MacKind::kTdma};
-  mac::TdmaConfig tdma{};
-  mac::AlohaConfig aloha{};
-  mac::CsmaConfig csma{};
-  AppKind app{AppKind::kEcgStreaming};
-  apps::StreamingConfig streaming{};
-  apps::RpeakConfig rpeak{};
-  apps::EcgConfig ecg{};
-  apps::EegAppConfig eeg{};
-  apps::EegConfig eeg_signal{};
-  hw::BoardParams board{};
-  Fidelity fidelity{Fidelity::kReference};
-  std::uint64_t seed{1};
-  /// Nodes boot staggered inside [0, stagger) to decorrelate join attempts.
-  sim::Duration stagger{sim::Duration::milliseconds(40)};
-
-  /// Node addresses are offset+1 .. offset+num_nodes.  Give co-located
-  /// BANs disjoint ranges (and distinct tdma.pan_id values); avoid
-  /// multiples of 0x100, which are base-station addresses.
-  net::NodeId address_offset{0};
-
-  /// Per-node overrides; empty builds num_nodes default-spec nodes.  An
-  /// all-default roster of length num_nodes is bit-identical to the
-  /// homogeneous network.
-  std::vector<NodeSpec> roster{};
-
-  /// Body-area link model: when enabled, every frame is subject to a
-  /// per-link frame error probability from the path-loss/BER budget below
-  /// (on top of collision corruption).  Off by default — the paper's
-  /// validation channel loses frames to collisions only.
-  bool use_link_model{false};
-  phy::LinkBudget link_budget{};
-  /// Device positions (index 0 = base station); empty selects
-  /// phy::standard_ban_layout(num_nodes), which supports up to 6 nodes.
-  std::vector<phy::BodyPosition> body_positions{};
-
-  /// Fault-injection campaign ([fault.*] INI sections).  A disabled plan
-  /// (the default) changes nothing: the network is wired exactly as if the
-  /// fault subsystem did not exist, so fault-free runs stay bit-identical.
-  fault::FaultPlan fault_plan{};
-
-  /// Per-node energy storage ([storage] / [battery] / [capacitor] /
-  /// [harvest] INI sections; NodeSpec::storage overrides per node).
-  /// Disabled (the default) keeps every node on the bench supply and the
-  /// network bit-identical to storage-free builds.
-  hw::StorageParams storage{};
-
-  /// Effective node count (roster length when a roster is given).
-  [[nodiscard]] std::size_t effective_nodes() const {
-    return roster.empty() ? num_nodes : roster.size();
-  }
-
-  /// The cell's protocol as the four-way enum the seam exposes (kTdma
-  /// splits on tdma.variant).
-  [[nodiscard]] mac::Protocol protocol() const {
-    switch (mac) {
-      case MacKind::kAloha:
-        return mac::Protocol::kAloha;
-      case MacKind::kCsmaCa:
-        return mac::Protocol::kCsmaCa;
-      case MacKind::kTdma:
-        break;
-    }
-    return tdma.variant == mac::TdmaVariant::kStatic
-               ? mac::Protocol::kStaticTdma
-               : mac::Protocol::kDynamicTdma;
-  }
-};
-
 class BanNetwork {
  public:
-  /// `probe` may be null (no estimator attached).
+  /// One cell.  `probe` may be null (no estimator attached).
   explicit BanNetwork(const BanConfig& config, os::ModelProbe* probe = nullptr);
+  /// Co-located cells on one channel; the first cell's seed seeds the
+  /// shared context.  Throws std::invalid_argument for an empty list and,
+  /// with more than one cell, for shared pan() values, overlapping radio
+  /// addresses, or a cell that enables the link model or a fault plan.
+  explicit BanNetwork(std::vector<BanConfig> cells,
+                      os::ModelProbe* probe = nullptr);
 
-  /// Boots the base station and all nodes (staggered).
+  /// Boots every base station and all nodes (staggered).
   void start();
 
   /// Advances the simulation to absolute time `until`.
   void run_until(sim::TimePoint until);
 
-  /// True when every node holds a TDMA slot.
+  /// True when every node of every cell is associated.
   [[nodiscard]] bool all_joined() const;
 
   /// Runs until all_joined() plus `settle`, polling every poll interval;
@@ -131,25 +63,38 @@ class BanNetwork {
   [[nodiscard]] sim::Simulator& simulator() { return context_.simulator; }
   [[nodiscard]] sim::Tracer& tracer() { return context_.tracer; }
   [[nodiscard]] phy::Channel& channel() { return channel_; }
-  [[nodiscard]] const BanConfig& config() const { return config_; }
 
-  [[nodiscard]] std::size_t num_nodes() const { return cell_.nodes.size(); }
-  [[nodiscard]] SensorNode& node(std::size_t i) { return *cell_.nodes[i]; }
+  [[nodiscard]] std::size_t num_cells() const { return cells_.size(); }
+  [[nodiscard]] BanCell& cell(std::size_t c) { return cells_[c]; }
+
+  // Cell 0.
+  [[nodiscard]] const BanConfig& config() const { return cells_[0].config(); }
+  [[nodiscard]] std::size_t num_nodes() const { return cells_[0].num_nodes(); }
+  [[nodiscard]] SensorNode& node(std::size_t i) { return cells_[0].node(i); }
   [[nodiscard]] const SensorNode& node(std::size_t i) const {
-    return *cell_.nodes[i];
+    return cells_[0].node(i);
   }
   /// TDMA base station (asserts when the cell runs another protocol);
   /// protocol-agnostic callers use base_station().
   [[nodiscard]] mac::BaseStationMac& base_station_mac() {
-    return cell_.bs->tdma_mac();
+    return cells_[0].base_station_mac();
   }
-  [[nodiscard]] BaseStationStack& base_station() { return *cell_.bs; }
+  [[nodiscard]] BaseStationStack& base_station() {
+    return cells_[0].base_station();
+  }
   [[nodiscard]] apps::BaseStationApp& base_station_app() {
-    return cell_.bs->app();
+    return cells_[0].base_station_app();
   }
-  /// Per-node EEG reassembly/decoding (kEegMonitoring nodes only).
+  [[nodiscard]] hw::Board& base_station_board() {
+    return cells_[0].base_station_board();
+  }
+  /// Per-node component energy snapshot at the current instant.
+  [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot() const {
+    return cells_[0].energy_snapshot(context_.simulator.now());
+  }
+
+  /// Per-node EEG reassembly/decoding (kEegMonitoring nodes of any cell).
   [[nodiscard]] apps::EegCollector* eeg_collector(net::NodeId node);
-  [[nodiscard]] hw::Board& base_station_board() { return cell_.bs->board(); }
   /// Non-null when the config enabled the body-area link model.
   [[nodiscard]] const phy::LinkModel* link_model() const {
     return link_model_.get();
@@ -166,11 +111,13 @@ class BanNetwork {
     return storage_driver_.get();
   }
 
-  /// Per-node component energy snapshot at the current instant.
-  [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot() const;
-
  private:
-  BanConfig config_;
+  /// Per-cell glue: data handler, EEG collectors, beat decoding and
+  /// storage-driver registration.
+  void wire_cell(BanCell& cell);
+  /// Network-wide glue of a lone cell: link model and fault injector.
+  void wire_channel();
+
   sim::SimContext context_;
   phy::Channel channel_;
   os::NullProbe null_probe_;
@@ -179,12 +126,8 @@ class BanNetwork {
   std::unique_ptr<phy::LinkModel> link_model_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<fault::StorageDriver> storage_driver_;
-  BuiltCell cell_;
+  std::vector<BanCell> cells_;
   std::map<net::NodeId, apps::EegCollector> eeg_collectors_;
 };
-
-/// Translates a BanConfig into the builder's CellPlan (shared with
-/// MultiBan, which re-derives the stream names per cell).
-[[nodiscard]] CellPlan make_cell_plan(const BanConfig& config);
 
 }  // namespace bansim::core

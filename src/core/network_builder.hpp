@@ -1,34 +1,33 @@
-// Shared assembly logic for every network topology in the repo.
+// Per-cell assembly: the one place a BanConfig becomes device stacks.
 //
-// All three public assemblies — BanNetwork (one TDMA cell), MultiBan
-// (co-located TDMA cells), AlohaNetwork (random-access baseline) — used to
-// triplicate the same wiring: derive the per-node RNG streams, build a
-// base station, build N sensor stacks in address order, boot everything
-// staggered.  NetworkBuilder owns that wiring once; the assemblies shrink
-// to a CellPlan (defaults + NodeSpec roster + stream naming) and their
-// topology-specific glue (data handlers, link model, traffic generators).
+// core::BanNetwork is the only network assembly: N cells (one base station
+// plus its sensor nodes each) on one shared SimContext and Channel, where
+// the paper's ward is N = 1.  NetworkBuilder builds and boots one cell of
+// that list; BanNetwork adds the per-cell and network-wide glue (data
+// handlers, EEG collectors, link model, fault injector, storage driver).
 //
-// Determinism contract: for a given CellPlan the builder
+// Determinism contract: for a given BanConfig, cell index and cell count
+// the builder
 //  * attaches devices to the channel in base-station-first, then node
-//    index order (channel ids: bs = 0, node i = i + 1);
-//  * draws one clock-skew value per device from the `streams.skew` stream
-//    (base station first) and one boot offset per node from the
-//    `streams.stagger` stream, in index order, REGARDLESS of per-spec
-//    overrides — pinning node k's skew never shifts node k+1's draw;
+//    index order (for a lone cell, channel ids: bs = 0, node i = i + 1);
+//  * draws one clock-skew value per device from the cell's skew stream
+//    (base station first) and one boot offset per node from its stagger
+//    stream, in index order, REGARDLESS of per-spec overrides — pinning
+//    node k's skew never shifts node k+1's draw;
 //  * derives the MAC and signal streams from per-node names, so they are
 //    independent of node count and position.
-// A homogeneous roster therefore reproduces the pre-builder networks
-// bit-for-bit (locked by test_golden_energy).
+// Stream names are a fixed function of (cell, cell count), see
+// cell_stream_name(); a homogeneous roster therefore reproduces the
+// pre-builder networks bit-for-bit (locked by test_golden_energy).
 #pragma once
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/node_spec.hpp"
+#include "core/ban_config.hpp"
 #include "core/node_stack.hpp"
 #include "os/cycle_cost_model.hpp"
 #include "phy/channel.hpp"
@@ -36,87 +35,77 @@
 
 namespace bansim::core {
 
-/// RNG-stream naming scheme for one cell.  Single-cell networks use the
-/// defaults; MultiBan suffixes the cell index so co-located cells draw
-/// from independent streams even when they share a seed.
-struct StreamNames {
-  std::string skew{"skew"};
-  std::string stagger{"stagger"};
-  std::string mac_prefix{"mac/"};
-  std::string signal_prefix{"ecg/"};
-  /// Key the mac/signal streams by node name ("node7") or by bare
-  /// address ("7").  Historical: BanNetwork keys by name, MultiBan and
-  /// AlohaNetwork by address.
-  bool key_streams_by_name{true};
-};
+/// The named per-cell RNG streams, plus the base station's device name.
+enum class CellStream { kSkew, kStagger, kMac, kSignal, kBaseStation };
 
-/// Everything needed to assemble one cell: network-wide defaults plus the
-/// per-node roster.  NodeSpec fields left unset inherit the defaults here.
-struct CellPlan {
-  std::uint64_t seed{1};
-  std::string bs_name{"bs"};
-  StreamNames streams{};
-  MacKind mac{MacKind::kTdma};
-  mac::TdmaConfig tdma{};
-  mac::AlohaConfig aloha{};
-  mac::CsmaConfig csma{};
-  net::NodeId address_offset{0};
-  /// Nodes boot inside [0, stagger) unless their spec pins boot_offset.
-  sim::Duration stagger{sim::Duration::milliseconds(40)};
+/// Name of `stream` for cell `cell` of `cells` (`address` keys the per-node
+/// kMac/kSignal streams).  A lone cell keeps the single-ward names
+/// ("skew", "mac/node3", "bs"); co-located cells suffix the cell index
+/// ("skew/cell1", "mac/cell1/103", "bs1") so cells sharing a seed still
+/// draw independently.
+[[nodiscard]] std::string cell_stream_name(CellStream stream, std::size_t cell,
+                                           std::size_t cells,
+                                           net::NodeId address = 0);
 
-  // Defaults a NodeSpec may override per node.
-  AppKind app{AppKind::kEcgStreaming};
-  hw::BoardParams board{};
-  Fidelity fidelity{Fidelity::kReference};
-  hw::StorageParams storage{};
-  apps::StreamingConfig streaming{};
-  apps::RpeakConfig rpeak{};
-  apps::EcgConfig ecg{};
-  apps::EegAppConfig eeg{};
-  apps::EegConfig eeg_signal{};
+/// Radio address of roster entry `i`: the spec's pinned address, else the
+/// positional default address_offset + i + 1.
+[[nodiscard]] net::NodeId node_address(const BanConfig& config, std::size_t i);
 
-  /// One entry per node; an empty roster is invalid (resize it to the
-  /// desired node count with default specs for a homogeneous cell) unless
-  /// a base-station-only cell is explicitly requested below.
-  std::vector<NodeSpec> roster{};
-  /// Opts in to an empty roster: a beacon-only cell with no sensor nodes.
-  /// Kept separate so a roster someone forgot to resize still hard-errors.
-  bool allow_empty_roster{false};
-};
+/// Radio address the cell's base station listens on.
+[[nodiscard]] inline net::NodeId base_station_address(const BanConfig& config) {
+  return mac::TdmaConfig::bs_address(config.pan());
+}
 
-/// One assembled cell plus the bookkeeping start_cell() needs.
-struct BuiltCell {
-  std::unique_ptr<BaseStationStack> bs;
-  std::vector<std::unique_ptr<NodeStack>> nodes;
+/// One assembled cell: its config, base station and sensor nodes.
+class BanCell {
+ public:
+  [[nodiscard]] const BanConfig& config() const { return config_; }
 
-  std::uint64_t seed{1};
-  std::string stagger_stream{"stagger"};
-  sim::Duration stagger_window{sim::Duration::zero()};
-  std::vector<std::optional<sim::Duration>> boot_offsets;
+  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
+  [[nodiscard]] NodeStack& node(std::size_t i) { return *nodes_[i]; }
+  [[nodiscard]] const NodeStack& node(std::size_t i) const {
+    return *nodes_[i];
+  }
 
+  [[nodiscard]] BaseStationStack& base_station() { return *bs_; }
+  /// TDMA base station (asserts when the cell runs another protocol).
+  [[nodiscard]] mac::BaseStationMac& base_station_mac() {
+    return bs_->tdma_mac();
+  }
+  [[nodiscard]] apps::BaseStationApp& base_station_app() { return bs_->app(); }
+  [[nodiscard]] hw::Board& base_station_board() { return bs_->board(); }
+
+  /// True when every node is associated with the base station.
   [[nodiscard]] bool all_joined() const;
   /// Per-node component energy snapshot (nodes in order, then the bs).
   [[nodiscard]] std::vector<energy::NodeEnergy> energy_snapshot(
       sim::TimePoint now) const;
+
+ private:
+  friend class NetworkBuilder;
+
+  explicit BanCell(BanConfig config) : config_{std::move(config)} {}
+
+  BanConfig config_;
+  std::unique_ptr<BaseStationStack> bs_;
+  std::vector<std::unique_ptr<NodeStack>> nodes_;
 };
 
 class NetworkBuilder {
  public:
-  /// Builds the base station and every node of `plan`, attaching them to
-  /// `channel` in the canonical order.  `nominal_costs` is handed to each
-  /// stack whose resolved fidelity is kModel.
-  [[nodiscard]] static BuiltCell build_cell(
-      sim::SimContext& context, phy::Channel& channel, const CellPlan& plan,
-      os::ModelProbe& probe, const os::CycleCostModel& nominal_costs);
-
-  /// Called at each node's staggered boot instant; default starts the
-  /// stack.  AlohaNetwork uses it to add its traffic generator.
-  using NodeStarter = std::function<void(std::size_t, NodeStack&)>;
+  /// Builds the base station and every node of cell `cell` (of `cells` on
+  /// the channel), attaching them to `channel` in the canonical order.
+  /// `nominal_costs` is handed to each stack whose resolved fidelity is
+  /// kModel.  Throws std::invalid_argument on an unbuildable cell.
+  [[nodiscard]] static BanCell build_cell(
+      sim::SimContext& context, phy::Channel& channel, BanConfig config,
+      std::size_t cell, std::size_t cells, os::ModelProbe& probe,
+      const os::CycleCostModel& nominal_costs);
 
   /// Starts the base station now and every node at its boot offset,
-  /// drawing the stagger stream in node order.
-  static void start_cell(sim::SimContext& context, BuiltCell& cell,
-                         NodeStarter starter = {});
+  /// drawing the cell's stagger stream in node order.
+  static void start_cell(sim::SimContext& context, BanCell& built,
+                         std::size_t cell, std::size_t cells);
 };
 
 }  // namespace bansim::core

@@ -1,12 +1,12 @@
 // Vertical slice of one device: hardware board, OS instance, MAC and the
 // selected application, bundled with its energy breakdown.
 //
-// NodeStack is the unit every network assembly (BanNetwork, MultiBan,
-// AlohaNetwork) is built from; NetworkBuilder turns a roster of NodeSpec
-// into a vector of these.  The stack is MAC-polymorphic through the
-// mac::NodeMacBase seam: TDMA, ALOHA and slotted CSMA/CA stacks differ
-// only in which concrete MAC sits behind the one unique_ptr, behind the
-// same board/OS wiring.  BaseStationStack is the sink-side counterpart.
+// NodeStack is the unit every BanNetwork cell is built from; NetworkBuilder
+// turns a roster of NodeSpec into a vector of these.  The stack is
+// MAC-polymorphic through the mac::NodeMacBase seam: TDMA, ALOHA and
+// slotted CSMA/CA stacks differ only in which concrete MAC sits behind the
+// one unique_ptr, behind the same board/OS wiring.  BaseStationStack is
+// the sink-side counterpart.
 #pragma once
 
 #include <cstdint>

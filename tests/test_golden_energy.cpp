@@ -7,12 +7,11 @@
 //
 // Windows are short (5 s) so the whole suite stays cheap; the values
 // cover both TDMA variants, both apps, both fidelities, per-node
-// snapshots, the ALOHA baseline and a two-cell coexistence run.
+// snapshots, a two-cell coexistence run and crash/reboot under all four
+// MAC protocols.
 #include <gtest/gtest.h>
 
-#include "core/aloha_network.hpp"
 #include "core/bansim.hpp"
-#include "core/multi_ban.hpp"
 #include "core/paper_experiments.hpp"
 
 namespace bansim::core {
@@ -112,34 +111,6 @@ TEST(GoldenEnergy, PerNodeSnapshotOfFiveNodeEcgNetwork) {
   EXPECT_EQ(snapshot[0].component_joules("asic"), 0.06405000000000001);
 }
 
-TEST(GoldenEnergy, AlohaBaselineBoardTotals) {
-  AlohaNetworkConfig cfg;
-  cfg.num_nodes = 5;
-  cfg.payload_interval = Duration::milliseconds(200);
-  cfg.seed = 9;
-  AlohaNetwork net{cfg};
-  net.start();
-  net.run_until(TimePoint::zero() + Duration::seconds(5));
-
-  const struct {
-    double total;
-    std::uint64_t sent;
-  } want[] = {
-      {0.06503000213656801, 24},  {0.066461656317330406, 39},
-      {0.06465474591890441, 24},  {0.066853653074381597, 42},
-      {0.064669489972385197, 24},
-  };
-  ASSERT_EQ(net.num_nodes(), 5u);
-  for (std::size_t i = 0; i < net.num_nodes(); ++i) {
-    double total = 0;
-    for (const auto& c : net.node_board(i).breakdown(net.simulator().now())) {
-      total += c.joules;
-    }
-    EXPECT_EQ(total, want[i].total) << "node" << i;
-    EXPECT_EQ(net.node_mac(i).stats().data_sent, want[i].sent) << "node" << i;
-  }
-}
-
 TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
   auto cell = [](std::uint8_t pan, net::NodeId offset, int cycle_ms) {
     BanConfig cfg;
@@ -153,7 +124,7 @@ TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
     cfg.seed = 77 + pan;
     return cfg;
   };
-  MultiBan net{{cell(1, 0, 30), cell(2, 100, 60)}};
+  BanNetwork net{{cell(1, 0, 30), cell(2, 100, 60)}};
   net.start();
   ASSERT_TRUE(net.run_until_joined(Duration::milliseconds(500),
                                    TimePoint::zero() + Duration::seconds(30)));
@@ -165,11 +136,11 @@ TEST(GoldenEnergy, MultiBanCoexistencePerNodeTotals) {
   };
   ASSERT_EQ(net.num_cells(), 2u);
   for (std::size_t c = 0; c < net.num_cells(); ++c) {
-    ASSERT_EQ(net.num_nodes(c), 3u);
-    for (std::size_t i = 0; i < net.num_nodes(c); ++i) {
+    ASSERT_EQ(net.cell(c).num_nodes(), 3u);
+    for (std::size_t i = 0; i < net.cell(c).num_nodes(); ++i) {
       double total = 0;
       for (const auto& comp :
-           net.node(c, i).board().breakdown(net.simulator().now())) {
+           net.cell(c).node(i).board().breakdown(net.simulator().now())) {
         total += comp.joules;
       }
       EXPECT_EQ(total, want[c][i]) << "cell" << c << " node" << i;

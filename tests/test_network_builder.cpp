@@ -1,4 +1,5 @@
-// NetworkBuilder roster validation and event-arena pre-sizing.
+// NetworkBuilder roster validation, stream naming and event-arena
+// pre-sizing.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -11,14 +12,11 @@
 namespace bansim {
 namespace {
 
-TEST(NetworkBuilder, EmptyRosterIsRejected) {
-  sim::SimContext context{42};
-  phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;  // roster left empty
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
+core::BanCell build(sim::SimContext& context, phy::Channel& channel,
+                    const core::BanConfig& config) {
+  static os::NullProbe probe;  // the stacks keep a reference to it
+  return core::NetworkBuilder::build_cell(context, channel, config, 0, 1,
+                                          probe, os::CycleCostModel{});
 }
 
 TEST(NetworkBuilder, InvalidTdmaConfigIsRejected) {
@@ -26,109 +24,92 @@ TEST(NetworkBuilder, InvalidTdmaConfigIsRejected) {
   // TdmaConfig::validate() — the same degenerate plans hard-error here.
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.roster.resize(2);
-  plan.tdma.ack_data = true;
-  plan.tdma.max_retries = 0;
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
-  plan.tdma = mac::TdmaConfig{};
-  plan.tdma.tx_queue_cap = 0;
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
-  plan.tdma = mac::TdmaConfig{};
-  plan.tdma.missed_beacon_limit = 3;
-  plan.tdma.reclaim_after_cycles = 2;
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
+  core::BanConfig config;
+  config.num_nodes = 2;
+  config.tdma.ack_data = true;
+  config.tdma.max_retries = 0;
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
+  config.tdma = mac::TdmaConfig{};
+  config.tdma.tx_queue_cap = 0;
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
+  config.tdma = mac::TdmaConfig{};
+  config.tdma.missed_beacon_limit = 3;
+  config.tdma.reclaim_after_cycles = 2;
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
 }
 
 TEST(NetworkBuilder, ZeroNodeBanConfigIsBaseStationOnly) {
-  // num_nodes = 0 is an explicit beacon-only network, not a mistake: the
-  // accidental analogue (a CellPlan whose roster was never resized) is the
-  // case EmptyRosterIsRejected covers.
+  // num_nodes = 0 is an explicit beacon-only network, not a mistake.
   core::BanConfig config;
   config.num_nodes = 0;
   core::BanNetwork network{config};
   EXPECT_EQ(network.num_nodes(), 0u);
 }
 
-TEST(NetworkBuilder, ExplicitlyAllowedEmptyRosterBuilds) {
-  sim::SimContext context{42};
-  phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.allow_empty_roster = true;
-  const core::BuiltCell cell = core::NetworkBuilder::build_cell(
-      context, channel, plan, probe, os::CycleCostModel{});
-  EXPECT_NE(cell.bs, nullptr);
-  EXPECT_TRUE(cell.nodes.empty());
-}
-
 TEST(NetworkBuilder, DuplicateAddressesAreRejected) {
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.roster.resize(3);
-  plan.roster[0].address = 9;
-  plan.roster[2].address = 9;  // collides with node 0
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
+  core::BanConfig config;
+  config.roster.resize(3);
+  config.roster[0].address = 9;
+  config.roster[2].address = 9;  // collides with node 0
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
 }
 
 TEST(NetworkBuilder, ExplicitAddressCollidingWithPositionalIsRejected) {
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.roster.resize(3);
+  core::BanConfig config;
+  config.roster.resize(3);
   // Node 1's positional default is offset + 2 == 2; pinning node 0 to it
   // must hard-error rather than silently cross-deliver frames.
-  plan.roster[0].address = 2;
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
+  config.roster[0].address = 2;
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
 }
 
 TEST(NetworkBuilder, BaseStationAddressCollisionIsRejected) {
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.tdma.pan_id = 1;
-  plan.roster.resize(2);
-  plan.roster[0].address = mac::TdmaConfig::bs_address(1);
-  EXPECT_THROW(core::NetworkBuilder::build_cell(context, channel, plan, probe,
-                                                os::CycleCostModel{}),
-               std::invalid_argument);
+  core::BanConfig config;
+  config.tdma.pan_id = 1;
+  config.roster.resize(2);
+  config.roster[0].address = mac::TdmaConfig::bs_address(1);
+  EXPECT_THROW((void)build(context, channel, config), std::invalid_argument);
 }
 
 TEST(NetworkBuilder, DistinctExplicitAddressesAreAccepted) {
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.roster.resize(3);
-  plan.roster[1].address = 77;
-  const core::BuiltCell cell = core::NetworkBuilder::build_cell(
-      context, channel, plan, probe, os::CycleCostModel{});
-  EXPECT_EQ(cell.nodes.size(), 3u);
+  core::BanConfig config;
+  config.roster.resize(3);
+  config.roster[1].address = 77;
+  const core::BanCell cell = build(context, channel, config);
+  EXPECT_EQ(cell.num_nodes(), 3u);
+  EXPECT_EQ(cell.node(1).address(), 77);
+}
+
+TEST(NetworkBuilder, StreamNamingFollowsTheCellCount) {
+  using core::CellStream;
+  using core::cell_stream_name;
+  EXPECT_EQ(cell_stream_name(CellStream::kSkew, 0, 1), "skew");
+  EXPECT_EQ(cell_stream_name(CellStream::kStagger, 0, 1), "stagger");
+  EXPECT_EQ(cell_stream_name(CellStream::kMac, 0, 1, 3), "mac/node3");
+  EXPECT_EQ(cell_stream_name(CellStream::kSignal, 0, 1, 3), "ecg/node3");
+  EXPECT_EQ(cell_stream_name(CellStream::kBaseStation, 0, 1), "bs");
+  EXPECT_EQ(cell_stream_name(CellStream::kSkew, 1, 2), "skew/cell1");
+  EXPECT_EQ(cell_stream_name(CellStream::kStagger, 1, 2), "stagger/1");
+  EXPECT_EQ(cell_stream_name(CellStream::kMac, 1, 2, 103), "mac/cell1/103");
+  EXPECT_EQ(cell_stream_name(CellStream::kSignal, 1, 2, 103),
+            "ecg/cell1/103");
+  EXPECT_EQ(cell_stream_name(CellStream::kBaseStation, 1, 2), "bs1");
 }
 
 TEST(NetworkBuilder, PreSizesTheEventArena) {
   sim::SimContext context{42};
   phy::Channel channel{context};
-  os::NullProbe probe;
-  core::CellPlan plan;
-  plan.roster.resize(5);
-  const core::BuiltCell cell = core::NetworkBuilder::build_cell(
-      context, channel, plan, probe, os::CycleCostModel{});
+  core::BanConfig config;
+  config.num_nodes = 5;
+  const core::BanCell cell = build(context, channel, config);
   (void)cell;
   // 16 events per stack, base station included, reserved up front so the
   // first join burst does not grow the arena.
