@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/bansim.hpp"
+#include "core/config_io.hpp"
 #include "energy/campaign_columns.hpp"
 
 namespace bansim {
@@ -53,6 +58,44 @@ TEST(RunReset, MotionPopulationAlwaysCarriesAnEpisode) {
     EXPECT_TRUE(patient.fault_plan.enabled);
     EXPECT_GE(patient.fault_plan.episodes.size(), 1u) << "patient " << i;
     EXPECT_TRUE(patient.fault_plan.touches_channel());
+  }
+}
+
+// The exact serialize_config text of population_ward.ini's patients 0, 1
+// and 999, motion off and on, pinned byte-for-byte in
+// tests/golden/population/.  A deliberate change to the sampling
+// regenerates them with
+//   BANSIM_UPDATE_GOLDEN=1 build/tests/test_population
+// and the diff shows up in review.
+TEST(RunReset, PatientConfigsMatchGoldenText) {
+  const bool update = std::getenv("BANSIM_UPDATE_GOLDEN") != nullptr;
+  std::ifstream ward{std::filesystem::path{BANSIM_CONFIG_DIR} /
+                     "population_ward.ini"};
+  ASSERT_TRUE(ward);
+  std::ostringstream ward_text;
+  ward_text << ward.rdbuf();
+  const BanConfig base = core::parse_config(ward_text.str());
+  for (const bool motion : {false, true}) {
+    core::PopulationConfig population;
+    population.motion = motion;
+    const core::PopulationGenerator generator{base, population};
+    for (const std::size_t index : {0u, 1u, 999u}) {
+      const std::string name = "patient_" + std::to_string(index) +
+                               (motion ? "_motion" : "") + ".ini";
+      SCOPED_TRACE(name);
+      const std::filesystem::path path =
+          std::filesystem::path{BANSIM_GOLDEN_DIR} / name;
+      const std::string text = core::serialize_config(generator.patient(index));
+      if (update) {
+        std::ofstream{path} << text;
+        continue;
+      }
+      std::ifstream in{path};
+      ASSERT_TRUE(in) << "missing golden file " << path;
+      std::ostringstream golden;
+      golden << in.rdbuf();
+      EXPECT_EQ(text, golden.str());
+    }
   }
 }
 
