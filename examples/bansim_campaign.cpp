@@ -39,9 +39,12 @@
 //   4  verify found errors
 //   5  complete except quarantined: every planned shard is either durable
 //      or quarantined, and at least one is quarantined (run/report/verify)
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -72,6 +75,33 @@ using namespace bansim;
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+/// `option`'s value as a non-negative decimal integer no larger than `max`
+/// (by default the destination type's range).  A sign, a suffix or an
+/// overflow is a usage error — `--workers -1` must not wrap to 2^32 - 1.
+template <typename T>
+[[nodiscard]] T parse_count(const std::string& option, const std::string& text,
+                            T max = std::numeric_limits<T>::max()) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc{} || stop != end ||
+      value > static_cast<std::uint64_t>(max)) {
+    usage(option + ": expected an integer in [0, " + std::to_string(max) +
+          "], got '" + text + "'");
+  }
+  return static_cast<T>(value);
+}
+
+/// `option`'s value in milliseconds, bounded so the nanosecond Duration
+/// cannot overflow.
+[[nodiscard]] sim::Duration parse_millis(const std::string& option,
+                                         const std::string& text) {
+  constexpr std::int64_t kMaxMs =
+      std::numeric_limits<std::int64_t>::max() / 1'000'000;
+  return sim::Duration::milliseconds(
+      parse_count<std::int64_t>(option, text, kMaxMs));
 }
 
 /// The default ward when --config is not given: the paper's 5-node ECG
@@ -119,21 +149,17 @@ struct CliOptions {
   };
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto num = [&](const std::string& v) {
-      try {
-        return std::stoul(v);
-      } catch (const std::exception&) {
-        usage(arg + ": bad number '" + v + "'");
-      }
+    const auto count = [&]<typename T>(T& field) {
+      field = parse_count<T>(arg, need_value(i++));
     };
     if (arg == "--config") {
       cli.config_path = need_value(i++);
       cli.spec_touched = true;
     } else if (arg == "--patients") {
-      cli.spec.patients = num(need_value(i++));
+      count(cli.spec.patients);
       cli.spec_touched = true;
     } else if (arg == "--shard-size") {
-      cli.spec.shard_size = num(need_value(i++));
+      count(cli.spec.shard_size);
       cli.spec_touched = true;
     } else if (arg == "--protocols") {
       cli.spec.protocols.clear();
@@ -144,7 +170,7 @@ struct CliOptions {
     } else if (arg == "--seeds") {
       cli.spec.seeds.clear();
       for (const std::string& token : split_csv(need_value(i++))) {
-        cli.spec.seeds.push_back(num(token));
+        cli.spec.seeds.push_back(parse_count<std::uint64_t>(arg, token));
       }
       cli.spec_touched = true;
     } else if (arg == "--fault-modes") {
@@ -163,27 +189,22 @@ struct CliOptions {
       cli.spec.motion = true;
       cli.spec_touched = true;
     } else if (arg == "--measure-ms") {
-      cli.spec.measure = sim::Duration::milliseconds(
-          static_cast<std::int64_t>(num(need_value(i++))));
+      cli.spec.measure = parse_millis(arg, need_value(i++));
       cli.spec_touched = true;
     } else if (arg == "--settle-ms") {
-      cli.spec.settle = sim::Duration::milliseconds(
-          static_cast<std::int64_t>(num(need_value(i++))));
+      cli.spec.settle = parse_millis(arg, need_value(i++));
       cli.spec_touched = true;
     } else if (arg == "--join-deadline-ms") {
-      cli.spec.join_deadline = sim::Duration::milliseconds(
-          static_cast<std::int64_t>(num(need_value(i++))));
+      cli.spec.join_deadline = parse_millis(arg, need_value(i++));
       cli.spec_touched = true;
     } else if (arg == "--retry-budget") {
-      cli.spec.retry_budget = num(need_value(i++));
+      count(cli.spec.retry_budget);
       cli.spec_touched = true;
     } else if (arg == "--deadline-floor-ms") {
-      cli.spec.deadline_floor_ms =
-          static_cast<std::uint32_t>(num(need_value(i++)));
+      count(cli.spec.deadline_floor_ms);
       cli.spec_touched = true;
     } else if (arg == "--deadline-ceiling-ms") {
-      cli.spec.deadline_ceiling_ms =
-          static_cast<std::uint32_t>(num(need_value(i++)));
+      count(cli.spec.deadline_ceiling_ms);
       cli.spec_touched = true;
     } else if (arg == "--deadline-factor") {
       const std::string value = need_value(i++);
@@ -196,21 +217,19 @@ struct CliOptions {
       }
       cli.spec_touched = true;
     } else if (arg == "--workers") {
-      cli.run.workers = static_cast<unsigned>(num(need_value(i++)));
+      count(cli.run.workers);
     } else if (arg == "--checkpoint-every") {
-      cli.run.checkpoint_every = num(need_value(i++));
+      count(cli.run.checkpoint_every);
     } else if (arg == "--backoff-ms") {
-      cli.run.backoff_base_ms = static_cast<std::uint32_t>(num(need_value(i++)));
+      count(cli.run.backoff_base_ms);
     } else if (arg == "--worker-cpu-limit-s") {
-      cli.run.worker_cpu_limit_s =
-          static_cast<std::uint32_t>(num(need_value(i++)));
+      count(cli.run.worker_cpu_limit_s);
     } else if (arg == "--worker-mem-limit-mb") {
-      cli.run.worker_mem_limit_mb =
-          static_cast<std::uint32_t>(num(need_value(i++)));
+      count(cli.run.worker_mem_limit_mb);
     } else if (arg == "--die-after") {
-      cli.run.die_after_shards = num(need_value(i++));
+      count(cli.run.die_after_shards);
     } else if (arg == "--stop-after") {
-      cli.run.stop_after_shards = num(need_value(i++));
+      count(cli.run.stop_after_shards);
     } else if (arg == "--worker-chaos") {
       cli.run.worker_chaos = need_value(i++);
     } else if (arg == "--csv") {

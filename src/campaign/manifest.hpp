@@ -1,4 +1,5 @@
-// Campaign manifest: the persistent definition of a scenario space.
+// Campaign manifest: the persistent definition of a scenario space — the
+// one way a patient population (core/population.hpp) is defined and run.
 //
 // A campaign directory is created once (`bansim_campaign run`) and then
 // only ever appended to; the manifest is what makes every later `resume`
@@ -8,6 +9,8 @@
 //     means),
 //   * the scenario axes — population size, base seeds, MAC protocols,
 //     fault-plan on/off — whose cross product forms the variant list,
+//   * the population's one switch, motion episodes on/off (the sampling
+//     distributions themselves are library constants),
 //   * the per-patient measurement window and CDF binning, and
 //   * the shard size that partitions each variant's patients.
 //
@@ -49,9 +52,7 @@ struct CampaignSpec {
   /// content; each fault mode is its own variant.
   std::vector<bool> fault_modes{false};
 
-  /// Per-patient physiology sampling: motion episodes on/off (the one
-  /// PopulationConfig knob campaigns vary; the rest keep library
-  /// defaults so the manifest stays small and version-stable).
+  /// Per-patient motion episodes on/off: PopulationConfig's one field.
   bool motion{false};
 
   /// Per-patient measurement window.

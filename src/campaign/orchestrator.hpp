@@ -10,8 +10,10 @@
 //
 // Two execution modes:
 //  * workers == 0 — in-process: one ShardRunner executes remaining shards
-//    in index order in this process (used by tests and the fuzzer's
-//    shard-resume oracle, where fork() is off the table);
+//    in index order in this process (`bansim_campaign run --workers 0`,
+//    the tests, and the fuzzer's shard-resume oracle, where fork() is off
+//    the table).  Shards are pure, so the store's report and CSV are
+//    byte-identical to a multi-process run's;
 //  * workers >= 1 — multi-process: the orchestrator re-execs its own
 //    binary (/proc/self/exe) `workers` times in worker mode and feeds
 //    shard indices over a pipe work-queue, one in flight per worker.

@@ -9,7 +9,7 @@
 #include "core/experiment.hpp"         // run_scenario, validation_row
 #include "core/fidelity.hpp"           // Fidelity
 #include "core/paper_experiments.hpp"  // table1..table4, figure4
-#include "core/population.hpp"         // PopulationGenerator, campaigns
+#include "core/population.hpp"         // PopulationGenerator, run_patient
 #include "core/timeline.hpp"           // render_timeline
 #include "energy/energy_report.hpp"    // tables / CSV rendering
 #include "mac/tdma_config.hpp"         // TdmaConfig

@@ -47,13 +47,6 @@ struct TimedResult {
   double seconds{0};
 };
 
-/// Accounting for the most recent run()/run_timed() call.
-struct RunnerSummary {
-  double wall_seconds{0};
-  std::size_t scenarios{0};
-  unsigned workers{1};
-};
-
 class ScenarioRunner {
  public:
   /// `jobs` == 0 uses hardware_concurrency(); 1 runs inline (no threads).
@@ -63,10 +56,6 @@ class ScenarioRunner {
 
   /// Wall-clock seconds of the most recent run()/run_timed() call.
   [[nodiscard]] double last_wall_seconds() const { return wall_seconds_; }
-
-  /// Accounting of the most recent run (wall clock, scenario count,
-  /// workers).
-  [[nodiscard]] const RunnerSummary& summary() const { return summary_; }
 
   /// Runs every scenario and returns results ordered by scenario index.
   /// If any scenario throws, the first exception (by scenario index) is
@@ -123,7 +112,6 @@ class ScenarioRunner {
     }
 
     wall_seconds_ = std::chrono::duration<double>(Clock::now() - wall_start).count();
-    summary_ = RunnerSummary{wall_seconds_, scenarios.size(), workers};
 
     for (const auto& error : errors) {
       if (error) std::rethrow_exception(error);
@@ -137,7 +125,6 @@ class ScenarioRunner {
  private:
   unsigned jobs_;
   double wall_seconds_{0};
-  RunnerSummary summary_{};
 };
 
 }  // namespace bansim::sim
