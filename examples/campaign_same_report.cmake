@@ -6,21 +6,17 @@
 #              -DOUT=<scratch dir> -P campaign_same_report.cmake
 file(MAKE_DIRECTORY ${OUT})
 foreach(side A B)
-  execute_process(
-    COMMAND ${CLI} report ${STORE_${side}} --csv ${OUT}/report_${side}.csv
-    OUTPUT_FILE ${OUT}/report_${side}.txt
-    RESULT_VARIABLE rc)
+  execute_process(COMMAND ${CLI} report ${STORE_${side}} --csv ${OUT}/${side}.csv
+                  OUTPUT_FILE ${OUT}/${side}.txt RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "report on ${STORE_${side}} exited ${rc}")
   endif()
 endforeach()
-foreach(file report.txt report.csv)
-  string(REPLACE "." "_A." a ${file})
-  string(REPLACE "." "_B." b ${file})
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT}/${a}
-                          ${OUT}/${b}
+foreach(ext txt csv)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT}/A.${ext}
+                          ${OUT}/B.${ext}
                   RESULT_VARIABLE differ)
   if(NOT differ EQUAL 0)
-    message(FATAL_ERROR "${OUT}/${a} and ${OUT}/${b} differ")
+    message(FATAL_ERROR "${OUT}/A.${ext} and ${OUT}/B.${ext} differ")
   endif()
 endforeach()
