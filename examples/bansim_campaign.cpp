@@ -86,7 +86,7 @@ template <typename T>
   std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (text.empty() || error != std::errc{} || stop != end ||
+  if (error != std::errc{} || stop != end ||
       value > static_cast<std::uint64_t>(max)) {
     usage(option + ": expected an integer in [0, " + std::to_string(max) +
           "], got '" + text + "'");
